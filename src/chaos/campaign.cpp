@@ -13,6 +13,7 @@
 #include <sstream>
 #include <utility>
 
+#include "check/layout_model.hpp"
 #include "core/inference.hpp"
 #include "core/resilient.hpp"
 #include "fault/checkpoint.hpp"
@@ -55,15 +56,6 @@ std::string fmt(const char* pattern, double a, double b = 0.0,
   return buffer;
 }
 
-models::GptConfig gpt_model_from_name(const std::string& name) {
-  if (name == "117M") return models::GptConfig::gpt_117m();
-  if (name == "800M") return models::GptConfig::gpt_800m();
-  if (name == "13B") return models::GptConfig::gpt_13b();
-  if (name == "175B") return models::GptConfig::gpt_175b();
-  throw InvalidArgument("unknown model: " + name +
-                        " (expected 117M, 800M, 13B or 175B)");
-}
-
 void validate_config(const CampaignConfig& config) {
   if (config.workload != "llm" && config.workload != "resnet" &&
       config.workload != "inference") {
@@ -84,7 +76,7 @@ void validate_config(const CampaignConfig& config) {
   CARAML_CHECK_MSG(config.global_batch >= 1,
                    "campaign global_batch must be >= 1");
   CARAML_CHECK_MSG(config.devices >= 1, "campaign devices must be >= 1");
-  if (config.workload == "llm") gpt_model_from_name(config.model);
+  if (config.workload == "llm") check::decode_gpt_model(config.model);
   if (config.mode == "random") {
     CARAML_CHECK_MSG(config.scenarios >= 1,
                      "random campaign needs scenarios >= 1");
@@ -134,7 +126,7 @@ RunPieces run_llm_pieces(const CampaignConfig& config,
                          const std::string& checkpoint_dir) {
   core::LlmRunConfig run_config;
   run_config.system_tag = config.system;
-  run_config.model = gpt_model_from_name(config.model);
+  run_config.model = check::decode_gpt_model(config.model);
   run_config.global_batch = config.global_batch;
   run_config.micro_batch = config.micro_batch;
   run_config.devices = config.devices;
@@ -177,7 +169,7 @@ RunPieces run_inference_pieces(const CampaignConfig& config,
                                const fault::FaultPlan& plan) {
   core::InferenceConfig run_config;
   run_config.system_tag = config.system;
-  run_config.model = gpt_model_from_name(config.model);
+  run_config.model = check::decode_gpt_model(config.model);
   run_config.batch = config.global_batch;
   run_config.prompt_tokens = config.prompt_tokens;
   run_config.generate_tokens = config.generate_tokens;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "models/resnet_cost.hpp"
 #include "par/pipeline.hpp"
 #include "sim/power_model.hpp"
 #include "util/error.hpp"
@@ -43,14 +42,6 @@ LayoutAnalysis invalid(std::string why) {
 }
 
 }  // namespace
-
-std::optional<models::GptConfig> gpt_config_from_tag(const std::string& tag) {
-  if (tag == "117M") return models::GptConfig::gpt_117m();
-  if (tag == "800M") return models::GptConfig::gpt_800m();
-  if (tag == "13B") return models::GptConfig::gpt_13b();
-  if (tag == "175B") return models::GptConfig::gpt_175b();
-  return std::nullopt;
-}
 
 std::string layout_label(const LayoutSpec& spec) {
   std::string label = spec.name.empty() ? std::string() : spec.name + ": ";
@@ -265,114 +256,200 @@ std::string predicted_time_message(const LayoutSpec& spec,
 
 namespace {
 
-std::string ctx_get(const jube::Context& context, const std::string& key,
-                    const std::string& fallback) {
-  const auto it = context.find(key);
-  if (it == context.end()) return fallback;
-  return jube::substitute_context(it->second, context);
+/// Reads a workpackage context the way the run does: ${...}-substituted
+/// values with per-key defaults. A bad value throws its DecodeProblem.
+struct ContextReader {
+  const jube::Context& context;
+
+  std::string get(const std::string& key, const std::string& fallback) const {
+    const auto it = context.find(key);
+    if (it == context.end()) return fallback;
+    return jube::substitute_context(it->second, context);
+  }
+
+  std::int64_t get_int(const std::string& key,
+                       const std::string& fallback) const {
+    const std::string raw = get(key, fallback);
+    try {
+      return str::parse_int(raw);
+    } catch (const ParseError&) {
+      throw DecodeProblem("yaml/type-mismatch", key,
+                          "parameter '" + key + "' value '" + raw +
+                              "' is not an integer");
+    }
+  }
+
+  /// The "system" value, which must be a registry tag.
+  std::string system() const {
+    const std::string tag = get("system", "A100");
+    if (!topo::SystemRegistry::instance().has_tag(tag)) {
+      throw DecodeProblem(
+          "sim/unknown-system", "system",
+          "system '" + tag + "' is not in the built-in registry");
+    }
+    return tag;
+  }
+};
+
+/// The value `tag` names in a tag table; the problem lists every tag.
+template <typename Value, std::size_t N>
+Value decode_tag(const std::pair<const char*, Value> (&table)[N],
+                 const std::string& key, const std::string& tag) {
+  std::string tags;
+  for (const auto& [name, value] : table) {
+    if (tag == name) return value;
+    tags += (tags.empty() ? "" : "/") + std::string(name);
+  }
+  throw DecodeProblem("yaml/type-mismatch", key,
+                      key + " '" + tag + "' is not one of " + tags);
 }
 
-std::int64_t ctx_int(const jube::Context& context, const std::string& key,
-                     const std::string& fallback) {
-  return str::parse_int(ctx_get(context, key, fallback));
-}
-
-std::string llm_doom_reason(const jube::Context& context) {
-  const std::string tag = ctx_get(context, "system", "A100");
-  const auto& registry = topo::SystemRegistry::instance();
-  if (!registry.has_tag(tag)) return "";
-  const topo::NodeSpec& node = registry.by_tag(tag);
-  if (node.device.arch != topo::ArchClass::kGpuSimd) return "";
-
-  const std::int64_t batch = ctx_int(context, "global_batch", "256");
-  const std::int64_t micro = ctx_int(context, "micro_batch", "4");
-  const std::int64_t devices = ctx_int(context, "devices", "-1");
-  const std::int64_t tp = ctx_int(context, "tp", "1");
-  const std::int64_t pp = ctx_int(context, "pp", "1");
-  auto model = gpt_config_from_tag(ctx_get(context, "model", "800M"));
-  if (!model) return "";
-  const std::string dtype = ctx_get(context, "dtype", "bf16");
-  if (dtype == "fp32") {
-    model->mixed_precision = false;
-  } else if (dtype != "bf16") {
-    return "invalid layout: llm_train dtype '" + dtype +
-           "' is not bf16 or fp32 (int8 is inference-only)";
-  }
-
-  const int num_devices =
-      devices > 0 ? static_cast<int>(devices) : node.devices_per_node;
-  if (tp <= 0 || pp <= 0 || num_devices % (tp * pp) != 0) {
-    return "invalid layout: " + std::to_string(num_devices) +
-           " device(s) not divisible by tp x pp = " + std::to_string(tp) +
-           " x " + std::to_string(pp);
-  }
-  const int dp = num_devices / static_cast<int>(tp * pp);
-
-  LayoutSpec spec;
-  spec.node = node;
-  spec.model = *model;
-  spec.tensor_parallel = static_cast<int>(tp);
-  spec.pipeline_parallel = static_cast<int>(pp);
-  spec.data_parallel = dp;
-  spec.micro_batch = micro;
-  spec.global_batch = batch;
-  const LayoutAnalysis analysis = analyze_layout(spec);
-  if (!analysis.valid) return "invalid layout: " + analysis.invalid_reason;
-  if (analysis.prediction.oom) {
-    return "static OOM: needs " +
-           fmt_gib(analysis.prediction.memory_per_device_bytes) +
-           " per device but " + node.device.name + " has " +
-           fmt_gib(node.device.mem_capacity_bytes);
-  }
-  return "";
-}
-
-std::string resnet_doom_reason(const jube::Context& context) {
-  const std::string tag = ctx_get(context, "system", "A100");
-  const auto& registry = topo::SystemRegistry::instance();
-  if (!registry.has_tag(tag)) return "";
-  const topo::NodeSpec& node = registry.by_tag(tag);
-  if (node.device.arch != topo::ArchClass::kGpuSimd) return "";
-
-  const std::int64_t batch = ctx_int(context, "global_batch", "256");
-  const std::int64_t devices = ctx_int(context, "devices", "1");
-  const std::string variant_tag = ctx_get(context, "variant", "resnet50");
-  models::ResNetVariant variant;
-  if (variant_tag == "resnet18") variant = models::ResNetVariant::kResNet18;
-  else if (variant_tag == "resnet34") variant = models::ResNetVariant::kResNet34;
-  else if (variant_tag == "resnet50") variant = models::ResNetVariant::kResNet50;
-  else return "";
-
-  if (devices <= 0 || batch <= 0 || batch % devices != 0) {
-    return "invalid layout: global batch " + std::to_string(batch) +
-           " not divisible by " + std::to_string(devices) + " device(s)";
-  }
-  // Mirrors core/resnet.cpp run_resnet_gpu's memory accounting.
-  const models::ResNetModel model = models::ResNetModel::build(variant);
-  const double need = model.activation_bytes_per_image() *
-                          static_cast<double>(batch / devices) +
-                      model.model_state_bytes() + 3.0e9;
-  if (need > node.device.mem_capacity_bytes) {
-    return "static OOM: needs " + fmt_gib(need) + " per device but " +
-           node.device.name + " has " +
-           fmt_gib(node.device.mem_capacity_bytes);
-  }
-  return "";
+bool gpu(const topo::NodeSpec& node) {
+  return node.device.arch == topo::ArchClass::kGpuSimd;
 }
 
 }  // namespace
 
+models::GptConfig decode_gpt_model(const std::string& tag,
+                                   const std::string& dtype) {
+  models::GptConfig model = decode_tag(models::kGptPresets, "model", tag)();
+  const auto precision = tensor::dtype_from_string(dtype);
+  if (!precision || !models::dtype_cost(*precision).trainable) {
+    throw DecodeProblem("yaml/type-mismatch", "dtype",
+                        "dtype '" + dtype +
+                            "' is not bf16 or fp32 (int8 is inference-only)");
+  }
+  model.dtype = *precision;
+  return model;
+}
+
+LlmTrain decode_llm_train(const jube::Context& context) {
+  const ContextReader in{context};
+  LlmTrain cell;
+  LayoutSpec& layout = cell.layout;
+  cell.system = in.system();
+  layout.global_batch = in.get_int("global_batch", "256");
+  layout.micro_batch = in.get_int("micro_batch", "4");
+  cell.devices = static_cast<int>(in.get_int("devices", "-1"));
+  layout.tensor_parallel = static_cast<int>(in.get_int("tp", "1"));
+  layout.pipeline_parallel = static_cast<int>(in.get_int("pp", "1"));
+  cell.model = in.get("model", "800M");
+  layout.model = decode_gpt_model(cell.model, in.get("dtype", "bf16"));
+  layout.node = topo::SystemRegistry::instance().by_tag(cell.system);
+  const int tp = layout.tensor_parallel;
+  const int pp = layout.pipeline_parallel;
+  const int n = cell.num_devices();
+  layout.data_parallel =
+      tp > 0 && pp > 0 && n % (tp * pp) == 0 ? n / (tp * pp) : 0;
+  return cell;
+}
+
+ResnetTrain decode_resnet_train(const jube::Context& context) {
+  const ContextReader in{context};
+  ResnetTrain cell;
+  cell.system = in.system();
+  cell.global_batch = in.get_int("global_batch", "256");
+  cell.devices = static_cast<int>(in.get_int("devices", "1"));
+  cell.variant_tag = in.get("variant", "resnet50");
+  cell.variant =
+      decode_tag(models::kResNetVariants, "variant", cell.variant_tag);
+  cell.synthetic = in.get("synthetic", "false") == "true";
+  return cell;
+}
+
+std::vector<LayoutFinding> doom_findings(const LlmTrain& cell,
+                                         LayoutAnalysis* analysis) {
+  const LayoutSpec& layout = cell.layout;
+  if (!gpu(layout.node)) return {};
+  const std::string where = "system " + cell.system + ": ";
+  const int dp = layout.data_parallel;
+  if (dp == 0) {
+    return {{"sim/invalid-layout",
+             where + std::to_string(cell.num_devices()) +
+                 " device(s) not divisible by tp x pp = " +
+                 std::to_string(layout.tensor_parallel) + " x " +
+                 std::to_string(layout.pipeline_parallel)}};
+  }
+  if (layout.micro_batch <= 0 || layout.global_batch <= 0 ||
+      layout.global_batch % (layout.micro_batch * dp) != 0) {
+    return {{"sim/invalid-layout",
+             where + "global batch " + std::to_string(layout.global_batch) +
+                 " not divisible by micro-batch x data-parallel (" +
+                 std::to_string(layout.micro_batch) + " x " +
+                 std::to_string(dp) + ")"}};
+  }
+
+  std::vector<LayoutFinding> findings;
+  models::GptMemoryModel memory;
+  memory.config = layout.model;
+  memory.tensor_parallel = layout.tensor_parallel;
+  memory.pipeline_parallel = layout.pipeline_parallel;
+  memory.data_parallel = dp;
+  memory.micro_batch = static_cast<int>(layout.micro_batch);
+  const double need = memory.total_bytes();
+  const double capacity = layout.node.device.mem_capacity_bytes;
+  if (need > capacity) {
+    findings.push_back(
+        {"sim/static-oom",
+         "llm_train on " + cell.system + " (model " + cell.model +
+             ", global batch " + std::to_string(layout.global_batch) +
+             ", micro " + std::to_string(layout.micro_batch) + ", dp " +
+             std::to_string(dp) + ") needs " + fmt_gib(need) +
+             " per device but " + layout.node.device.name + " has " +
+             fmt_gib(capacity)});
+  }
+  // Node packing and links: defects the simulator would only hit at run time.
+  const LayoutAnalysis result = analyze_layout(layout);
+  if (!result.valid) {
+    findings.push_back(
+        {"layout/invalid", "llm_train: " + result.invalid_reason});
+  }
+  if (analysis != nullptr) *analysis = result;
+  return findings;
+}
+
+std::vector<LayoutFinding> doom_findings(const ResnetTrain& cell) {
+  const topo::NodeSpec& node =
+      topo::SystemRegistry::instance().by_tag(cell.system);
+  if (!gpu(node)) return {};
+  if (cell.devices <= 0 || cell.global_batch <= 0 ||
+      cell.global_batch % cell.devices != 0) {
+    return {{"sim/invalid-layout",
+             "system " + cell.system + ": global batch " +
+                 std::to_string(cell.global_batch) + " not divisible by " +
+                 std::to_string(cell.devices) + " device(s)"}};
+  }
+  const double need = models::ResNetModel::build(cell.variant)
+                          .device_memory(cell.global_batch / cell.devices)
+                          .total();
+  const double capacity = node.device.mem_capacity_bytes;
+  if (need <= capacity) return {};
+  return {{"sim/static-oom",
+           "resnet_train on " + cell.system + " (" + cell.variant_tag +
+               ", global batch " + std::to_string(cell.global_batch) + ", " +
+               std::to_string(cell.devices) + " device(s)) needs " +
+               fmt_gib(need) + " per device but " + node.device.name +
+               " has " + fmt_gib(capacity)}};
+}
+
 std::string workpackage_doom_reason(const jube::Context& context,
                                     const std::vector<std::string>& actions) {
   for (const std::string& action : actions) {
+    std::vector<LayoutFinding> findings;
     try {
-      std::string reason;
-      if (action == "llm_train") reason = llm_doom_reason(context);
-      if (action == "resnet_train") reason = resnet_doom_reason(context);
-      if (!reason.empty()) return action + ": " + reason;
+      if (action == "llm_train") {
+        findings = doom_findings(decode_llm_train(context));
+      }
+      if (action == "resnet_train") {
+        findings = doom_findings(decode_resnet_train(context));
+      }
     } catch (const Error&) {
-      // Unparseable parameters: let the run report its own error.
+      continue;  // input errors are the run's to report, not doom
     }
+    if (findings.empty()) continue;
+    const bool oom = findings.front().rule == "sim/static-oom";
+    return action + (oom ? ": static OOM: " : ": invalid layout: ") +
+           findings.front().message;
   }
   return "";
 }

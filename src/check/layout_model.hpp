@@ -1,6 +1,8 @@
 // Static TP x PP x DP layout analysis shared by the `caraml lint` layout/*
 // rules (rules_layout.cpp for `layouts:` files, rules_jube.cpp for llm_train
-// workpackages) and the `caraml run --skip-doomed` gate.
+// workpackages) and the `caraml run --skip-doomed` gate, plus the one
+// decoder per train action that the JUBE actions, the `caraml llm`/`resnet`
+// flags, lint and the gate all read a workpackage through.
 //
 // Everything here is closed-form: the analysis wraps the same analytic cost
 // hooks (sim/layout_analytic.hpp) the simulator's hot path runs on, so a
@@ -9,19 +11,17 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "jube/jube.hpp"
 #include "models/gpt_cost.hpp"
+#include "models/resnet_cost.hpp"
 #include "sim/layout_analytic.hpp"
 #include "topo/specs.hpp"
+#include "util/error.hpp"
 
 namespace caraml::check {
-
-/// Model preset by tag ("117M"/"800M"/"13B"/"175B"); nullopt otherwise.
-std::optional<models::GptConfig> gpt_config_from_tag(const std::string& tag);
 
 /// Pipeline schedule the layout trains under; decides how many micro-batches
 /// of activations are simultaneously in flight per stage.
@@ -104,12 +104,69 @@ std::vector<LayoutFinding> layout_findings(const LayoutSpec& spec,
 std::string predicted_time_message(const LayoutSpec& spec,
                                    const LayoutAnalysis& analysis);
 
+// --- run-setting decoders ---------------------------------------------------
+
+/// Why a run setting does not decode: the lint rule it falls under and the
+/// context key it concerns; what() says what is wrong with the value.
+class DecodeProblem : public InvalidArgument {
+ public:
+  DecodeProblem(std::string rule, std::string key, const std::string& what)
+      : InvalidArgument(what), rule(std::move(rule)), key(std::move(key)) {}
+  std::string rule;
+  std::string key;
+};
+
+/// A GPT preset tag at a training dtype; throws DecodeProblem on key "model"
+/// or "dtype".
+models::GptConfig decode_gpt_model(const std::string& tag,
+                                   const std::string& dtype = "bf16");
+
+/// llm_train: system (A100), global_batch (256), micro_batch (4), devices
+/// (-1 = the full node), tp (1), pp (1), model (800M), dtype (bf16).
+struct LlmTrain {
+  std::string system;
+  std::string model;
+  int devices = -1;
+  /// Node, model at the decoded dtype, tp, pp, batches, and the derived
+  /// dp = devices / (tp x pp) — 0 when that does not divide.
+  LayoutSpec layout;
+
+  int num_devices() const {
+    return devices > 0 ? devices : layout.node.devices_per_node;
+  }
+};
+
+/// resnet_train: system (A100), global_batch (256), devices (1), variant
+/// (resnet50), synthetic (false).
+struct ResnetTrain {
+  std::string system;
+  std::string variant_tag;
+  models::ResNetVariant variant = models::ResNetVariant::kResNet50;
+  std::int64_t global_batch = 256;
+  int devices = 1;
+  bool synthetic = false;
+};
+
+/// Decode a workpackage context, ${...}-substituting each value read (an
+/// unresolved reference throws jube's Error). Throws the first problem:
+/// sim/unknown-system, or yaml/type-mismatch on a non-integer, an unknown
+/// model or variant tag, or a dtype that is not a training precision.
+LlmTrain decode_llm_train(const jube::Context& context);
+ResnetTrain decode_resnet_train(const jube::Context& context);
+
+/// What dooms a decoded cell on a GPU system, in lint order:
+/// sim/invalid-layout, sim/static-oom, then (llm_train) layout/invalid for
+/// node packing and links. Empty when it can run or the system is no GPU.
+/// `analysis` receives the llm_train layout analysis, if one ran.
+std::vector<LayoutFinding> doom_findings(const LlmTrain& cell,
+                                         LayoutAnalysis* analysis = nullptr);
+std::vector<LayoutFinding> doom_findings(const ResnetTrain& cell);
+
 /// Static gate for `caraml run --skip-doomed`: "" means run the workpackage;
-/// otherwise a one-line reason why it is statically doomed (invalid layout
-/// or guaranteed OOM, from the same models the lint pass uses). `actions`
-/// are the workpackage's active step actions; parameter defaults mirror the
-/// lint pass (system A100, model 800M, ...). Never throws — unparseable
-/// contexts simply run.
+/// otherwise why it is statically doomed (doom_findings: invalid layout or
+/// certain OOM). `actions` are the workpackage's active step actions. Never
+/// throws: a context that does not decode runs, and fails as without the
+/// gate.
 std::string workpackage_doom_reason(const jube::Context& context,
                                     const std::vector<std::string>& actions);
 

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string>
 
+#include "check/layout_model.hpp"
 #include "check/lint.hpp"
 
 namespace caraml::check {
@@ -73,6 +74,14 @@ void lint_campaign(const yaml::Node& root, const std::string& file,
     diags.report("chaos/bad-workload", loc(body.mark()),
                  "workload '" + workload +
                      "' is not llm, resnet or inference");
+  }
+  if (workload == "llm" || workload == "inference") {
+    try {
+      decode_gpt_model(body.get_or("model", "800M"));
+    } catch (const DecodeProblem& problem) {
+      diags.report(problem.rule, loc(body.find("model")->mark()),
+                   problem.what());
+    }
   }
   const std::string mode = body.get_or("mode", "grid");
   std::int64_t scenarios = 0;

@@ -8,16 +8,12 @@
 #include <optional>
 #include <regex>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "check/layout_model.hpp"
 #include "check/lint.hpp"
 #include "jube/jube.hpp"
-#include "models/gpt_cost.hpp"
-#include "models/resnet_cost.hpp"
-#include "topo/specs.hpp"
 #include "util/strings.hpp"
 
 namespace caraml::check {
@@ -67,15 +63,6 @@ bool tag_active(const std::string& tag, const std::set<std::string>& tags) {
 
 std::string tag_set_name(const std::set<std::string>& tags) {
   return tags.empty() ? "(no tags)" : "{" + str::join({tags.begin(), tags.end()}, ", ") + "}";
-}
-
-double gib(double bytes) { return bytes / (1024.0 * 1024.0 * 1024.0); }
-
-std::string fmt_gib(double bytes) {
-  std::ostringstream os;
-  os.precision(1);
-  os << std::fixed << gib(bytes) << " GiB";
-  return os.str();
 }
 
 /// One expanded workpackage value with the source mark of the parameter
@@ -477,35 +464,10 @@ class JubeLinter {
     return contexts;
   }
 
-  std::string context_get(const MarkedContext& context, const std::string& key,
-                          const std::string& fallback) const {
-    const auto it = context.find(key);
-    if (it == context.end()) return fallback;
-    jube::Context plain;
-    for (const auto& [name, binding] : context) plain[name] = binding.value;
-    return jube::substitute_context(it->second.value, plain);
-  }
-
   yaml::Mark context_mark(const MarkedContext& context, const std::string& key,
                           const yaml::Mark& fallback) const {
     const auto it = context.find(key);
     return it == context.end() ? fallback : it->second.mark;
-  }
-
-  std::optional<std::int64_t> get_int(const MarkedContext& context,
-                                      const std::string& key,
-                                      const std::string& fallback,
-                                      const yaml::Mark& step_mark) {
-    const std::string raw = context_get(context, key, fallback);
-    try {
-      return str::parse_int(raw);
-    } catch (const ParseError&) {
-      diags_.report("yaml/type-mismatch",
-                    loc(context_mark(context, key, step_mark)),
-                    "parameter '" + key + "' value '" + raw +
-                        "' is not an integer");
-      return std::nullopt;
-    }
   }
 
   void check_workloads() {
@@ -532,123 +494,49 @@ class JubeLinter {
     }
   }
 
-  const topo::NodeSpec* lookup_system(const MarkedContext& context,
-                                      const StepDecl& step,
-                                      std::string* tag_out) {
-    const std::string tag = context_get(context, "system", "A100");
-    if (tag_out) *tag_out = tag;
-    const auto& registry = topo::SystemRegistry::instance();
-    if (!registry.has_tag(tag)) {
-      diags_.report("sim/unknown-system",
-                    loc(context_mark(context, "system", step.mark)),
-                    "system '" + tag + "' is not in the built-in registry");
-      return nullptr;
+  /// The workpackage as the run reads it: through the action's decoder,
+  /// which substitutes ${...} itself. A problem is reported at its key.
+  template <typename Cell>
+  std::optional<Cell> decode(Cell (*decoder)(const jube::Context&),
+                             const MarkedContext& context,
+                             const StepDecl& step) {
+    jube::Context plain;
+    for (const auto& [name, binding] : context) plain[name] = binding.value;
+    try {
+      return decoder(plain);
+    } catch (const DecodeProblem& problem) {
+      diags_.report(problem.rule,
+                    loc(context_mark(context, problem.key, step.mark)),
+                    problem.what());
+      return std::nullopt;
     }
-    return &registry.by_tag(tag);
   }
 
   void check_llm(const MarkedContext& context, const StepDecl& step) {
-    std::string tag;
-    const topo::NodeSpec* node = lookup_system(context, step, &tag);
-    if (!node || node->device.arch != topo::ArchClass::kGpuSimd) return;
-
-    const auto batch = get_int(context, "global_batch", "256", step.mark);
-    const auto micro = get_int(context, "micro_batch", "4", step.mark);
-    const auto devices = get_int(context, "devices", "-1", step.mark);
-    const auto tp = get_int(context, "tp", "1", step.mark);
-    const auto pp = get_int(context, "pp", "1", step.mark);
-    if (!batch || !micro || !devices || !tp || !pp) return;
-
-    const std::string model_tag = context_get(context, "model", "800M");
-    models::GptConfig model;
-    if (model_tag == "117M") model = models::GptConfig::gpt_117m();
-    else if (model_tag == "800M") model = models::GptConfig::gpt_800m();
-    else if (model_tag == "13B") model = models::GptConfig::gpt_13b();
-    else if (model_tag == "175B") model = models::GptConfig::gpt_175b();
-    else {
-      diags_.report("yaml/type-mismatch",
-                    loc(context_mark(context, "model", step.mark)),
-                    "model '" + model_tag +
-                        "' is not one of 117M/800M/13B/175B");
-      return;
+    const std::optional<LlmTrain> cell =
+        decode(&decode_llm_train, context, step);
+    if (!cell) return;
+    const yaml::Mark batch_mark =
+        context_mark(context, "global_batch", step.mark);
+    LayoutAnalysis analysis;
+    for (const auto& finding : doom_findings(*cell, &analysis)) {
+      diags_.report(finding.rule, loc(batch_mark), finding.message);
     }
-    const std::string dtype = context_get(context, "dtype", "bf16");
-    if (dtype == "fp32") {
-      model.mixed_precision = false;
-    } else if (dtype != "bf16") {
-      diags_.report("yaml/type-mismatch",
-                    loc(context_mark(context, "dtype", step.mark)),
-                    "llm_train dtype '" + dtype +
-                        "' is not bf16 or fp32 (int8 is inference-only)");
-      return;
-    }
-
-    const int num_devices = *devices > 0 ? static_cast<int>(*devices)
-                                         : node->devices_per_node;
-    const yaml::Mark batch_mark = context_mark(context, "global_batch", step.mark);
-    if (*tp <= 0 || *pp <= 0 || num_devices % (*tp * *pp) != 0) {
-      diags_.report("sim/invalid-layout", loc(batch_mark),
-                    "system " + tag + ": " + std::to_string(num_devices) +
-                        " device(s) not divisible by tp x pp = " +
-                        std::to_string(*tp) + " x " + std::to_string(*pp));
-      return;
-    }
-    const int dp = num_devices / static_cast<int>(*tp * *pp);
-    if (*micro <= 0 || *batch <= 0 || *batch % (*micro * dp) != 0) {
-      diags_.report("sim/invalid-layout", loc(batch_mark),
-                    "system " + tag + ": global batch " +
-                        std::to_string(*batch) +
-                        " not divisible by micro-batch x data-parallel (" +
-                        std::to_string(*micro) + " x " + std::to_string(dp) +
-                        ")");
-      return;
-    }
-
-    models::GptMemoryModel memory;
-    memory.config = model;
-    memory.tensor_parallel = static_cast<int>(*tp);
-    memory.pipeline_parallel = static_cast<int>(*pp);
-    memory.data_parallel = dp;
-    memory.micro_batch = static_cast<int>(*micro);
-    const double need = memory.total_bytes();
-    const double capacity = node->device.mem_capacity_bytes;
-    if (need > capacity) {
-      diags_.report("sim/static-oom", loc(batch_mark),
-                    "llm_train on " + tag + " (model " + model_tag +
-                        ", global batch " + std::to_string(*batch) +
-                        ", micro " + std::to_string(*micro) + ", dp " +
-                        std::to_string(dp) + ") needs " + fmt_gib(need) +
-                        " per device but " + node->device.name + " has " +
-                        fmt_gib(capacity));
-    }
+    if (!analysis.valid) return;
 
     // Full layout analysis (memory at scale, comm volume, schedule bubble,
     // power feasibility, predicted time/energy). Collected per unique cell
     // and emitted after all tag sets ran, so the predicted-time ranking is
     // consistent regardless of which tag set discovered a cell first.
-    LayoutSpec layout;
-    layout.node = *node;
-    layout.model = model;
-    layout.tensor_parallel = static_cast<int>(*tp);
-    layout.pipeline_parallel = static_cast<int>(*pp);
-    layout.data_parallel = dp;
-    layout.micro_batch = *micro;
-    layout.global_batch = *batch;
+    const LayoutSpec& layout = cell->layout;
     const std::string cell_key =
-        layout_label(layout) + " b" + std::to_string(*batch) + " m" +
-        std::to_string(*micro) + " @" + std::to_string(batch_mark.line) + ":" +
+        layout_label(layout) + " b" + std::to_string(layout.global_batch) +
+        " m" + std::to_string(layout.micro_batch) + " @" +
+        std::to_string(batch_mark.line) + ":" +
         std::to_string(batch_mark.column);
-    if (!layout_cells_seen_.insert(cell_key).second) return;
-    const LayoutAnalysis analysis = analyze_layout(layout);
-    if (!analysis.valid) {
-      // Divisibility problems were already reported as sim/invalid-layout
-      // above; what reaches here is node packing / missing links — defects
-      // the simulator would only hit at run time.
-      diags_.report("layout/invalid", loc(batch_mark),
-                    "llm_train: " + analysis.invalid_reason);
-      return;
+    if (layout_cells_seen_.insert(cell_key).second) {
+      layout_cells_.push_back({layout, analysis, batch_mark});
     }
-    layout_cells_.push_back({layout, analysis, batch_mark});
   }
 
   /// Emit the collected per-cell layout findings, ranking the feasible cells
@@ -678,50 +566,13 @@ class JubeLinter {
   }
 
   void check_resnet(const MarkedContext& context, const StepDecl& step) {
-    std::string tag;
-    const topo::NodeSpec* node = lookup_system(context, step, &tag);
-    if (!node || node->device.arch != topo::ArchClass::kGpuSimd) return;
-
-    const auto batch = get_int(context, "global_batch", "256", step.mark);
-    const auto devices = get_int(context, "devices", "1", step.mark);
-    if (!batch || !devices) return;
-
-    const std::string variant_tag = context_get(context, "variant", "resnet50");
-    models::ResNetVariant variant;
-    if (variant_tag == "resnet18") variant = models::ResNetVariant::kResNet18;
-    else if (variant_tag == "resnet34") variant = models::ResNetVariant::kResNet34;
-    else if (variant_tag == "resnet50") variant = models::ResNetVariant::kResNet50;
-    else {
-      diags_.report("yaml/type-mismatch",
-                    loc(context_mark(context, "variant", step.mark)),
-                    "variant '" + variant_tag +
-                        "' is not one of resnet18/resnet34/resnet50");
-      return;
-    }
-
-    const yaml::Mark batch_mark = context_mark(context, "global_batch", step.mark);
-    if (*devices <= 0 || *batch <= 0 || *batch % *devices != 0) {
-      diags_.report("sim/invalid-layout", loc(batch_mark),
-                    "system " + tag + ": global batch " +
-                        std::to_string(*batch) + " not divisible by " +
-                        std::to_string(*devices) + " device(s)");
-      return;
-    }
-    const models::ResNetModel model = models::ResNetModel::build(variant);
-    const std::int64_t b_dev = *batch / *devices;
-    // Mirrors core/resnet.cpp run_resnet_gpu's memory accounting:
-    // activations + model/optimizer state + 3 GB framework workspace.
-    const double need = model.activation_bytes_per_image() *
-                            static_cast<double>(b_dev) +
-                        model.model_state_bytes() + 3.0e9;
-    const double capacity = node->device.mem_capacity_bytes;
-    if (need > capacity) {
-      diags_.report("sim/static-oom", loc(batch_mark),
-                    "resnet_train on " + tag + " (" + variant_tag +
-                        ", global batch " + std::to_string(*batch) + ", " +
-                        std::to_string(*devices) + " device(s)) needs " +
-                        fmt_gib(need) + " per device but " +
-                        node->device.name + " has " + fmt_gib(capacity));
+    const std::optional<ResnetTrain> cell =
+        decode(&decode_resnet_train, context, step);
+    if (!cell) return;
+    const yaml::Mark batch_mark =
+        context_mark(context, "global_batch", step.mark);
+    for (const auto& finding : doom_findings(*cell)) {
+      diags_.report(finding.rule, loc(batch_mark), finding.message);
     }
   }
 

@@ -114,26 +114,15 @@ class LayoutLinter {
       return std::nullopt;
     }
 
-    const std::string model_tag = entry.get_or("model", "800M");
-    const auto model = gpt_config_from_tag(model_tag);
-    if (!model) {
-      diags_.report("layout/invalid", loc(entry.mark()),
-                    spec.name + ": model '" + model_tag +
-                        "' is not one of 117M/800M/13B/175B");
-      return std::nullopt;
-    }
-    spec.model = *model;
-
     // Optional training precision: bf16 (the paper's mixed-precision default)
     // or fp32 — drives the memory model's bytes-per-value, the comm-volume
     // derivations, and the tensor-peak scale, exactly as `caraml llm --dtype`.
-    const std::string dtype = entry.get_or("dtype", "bf16");
-    if (dtype == "fp32") {
-      spec.model.mixed_precision = false;
-    } else if (dtype != "bf16") {
+    try {
+      spec.model = decode_gpt_model(entry.get_or("model", "800M"),
+                                    entry.get_or("dtype", "bf16"));
+    } catch (const DecodeProblem& problem) {
       diags_.report("layout/invalid", loc(entry.mark()),
-                    spec.name + ": dtype '" + dtype +
-                        "' is not bf16 or fp32 (int8 is inference-only)");
+                    spec.name + ": " + problem.what());
       return std::nullopt;
     }
 

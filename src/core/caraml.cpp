@@ -6,7 +6,7 @@
 #include <thread>
 
 #include "analysis/analyse.hpp"
-#include "core/resilient.hpp"
+#include "check/layout_model.hpp"
 #include "fault/fault.hpp"
 #include "telemetry/span.hpp"
 #include "topo/specs.hpp"
@@ -23,12 +23,31 @@ std::string context_get(const jube::Context& context, const std::string& key,
   return it != context.end() ? it->second : fallback;
 }
 
-// ---------------------------------------------------------------------------
-// Fault-injection parameters: when a workpackage context carries a fault plan
-// (file) or a nonzero fault rate, the train actions run resiliently and
-// annotate their output with status/restart/checkpoint lines the result
-// patterns pick up.
-// ---------------------------------------------------------------------------
+}  // namespace
+
+LlmRunConfig llm_run_config(const jube::Context& context) {
+  const check::LlmTrain cell = check::decode_llm_train(context);
+  LlmRunConfig config;
+  config.system_tag = cell.system;
+  config.model = cell.layout.model;
+  config.global_batch = cell.layout.global_batch;
+  config.micro_batch = cell.layout.micro_batch;
+  config.devices = cell.devices;
+  config.tensor_parallel = cell.layout.tensor_parallel;
+  config.pipeline_parallel = cell.layout.pipeline_parallel;
+  return config;
+}
+
+ResnetRunConfig resnet_run_config(const jube::Context& context) {
+  const check::ResnetTrain cell = check::decode_resnet_train(context);
+  ResnetRunConfig config;
+  config.system_tag = cell.system;
+  config.variant = cell.variant;
+  config.global_batch = cell.global_batch;
+  config.devices = cell.devices;
+  config.synthetic_data = cell.synthetic;
+  return config;
+}
 
 bool fault_requested(const jube::Context& context) {
   return !context_get(context, "fault_plan", "").empty() ||
@@ -58,6 +77,8 @@ ResilienceOptions resilience_from_context(const jube::Context& context,
   options.checkpoint_dir = context_get(context, "checkpoint_dir", "");
   return options;
 }
+
+namespace {
 
 void append_report(std::ostream& os, const fault::RunReport& report) {
   os << "status: " << report.status << "\n"
@@ -90,29 +111,7 @@ void append_analysis(std::ostream& os, const telemetry::Tracer& tracer) {
 }
 
 std::string llm_train_action(const jube::Context& context) {
-  LlmRunConfig config;
-  config.system_tag = context_get(context, "system", "A100");
-  config.global_batch = str::parse_int(context_get(context, "global_batch", "256"));
-  config.micro_batch = str::parse_int(context_get(context, "micro_batch", "4"));
-  config.devices =
-      static_cast<int>(str::parse_int(context_get(context, "devices", "-1")));
-  const std::string model = context_get(context, "model", "800M");
-  if (model == "117M") config.model = models::GptConfig::gpt_117m();
-  else if (model == "800M") config.model = models::GptConfig::gpt_800m();
-  else if (model == "13B") config.model = models::GptConfig::gpt_13b();
-  else if (model == "175B") config.model = models::GptConfig::gpt_175b();
-  else throw InvalidArgument("unknown model tag: " + model);
-  config.tensor_parallel =
-      static_cast<int>(str::parse_int(context_get(context, "tp", "1")));
-  config.pipeline_parallel =
-      static_cast<int>(str::parse_int(context_get(context, "pp", "1")));
-  const std::string dtype = context_get(context, "dtype", "bf16");
-  if (dtype == "fp32") config.model.mixed_precision = false;
-  else if (dtype != "bf16") {
-    throw InvalidArgument("llm_train dtype must be bf16 or fp32 (int8 is "
-                          "inference-only), got '" + dtype + "'");
-  }
-
+  LlmRunConfig config = llm_run_config(context);
   std::ostringstream os;
   if (config.system_tag == "GC200") {
     // The IPU path only traces through the global tracer; no --analyse hook.
@@ -164,20 +163,7 @@ std::string llm_train_action(const jube::Context& context) {
 }
 
 std::string resnet_train_action(const jube::Context& context) {
-  ResnetRunConfig config;
-  config.system_tag = context_get(context, "system", "A100");
-  config.global_batch =
-      str::parse_int(context_get(context, "global_batch", "256"));
-  config.devices =
-      static_cast<int>(str::parse_int(context_get(context, "devices", "1")));
-  config.synthetic_data =
-      context_get(context, "synthetic", "false") == "true";
-  const std::string variant = context_get(context, "variant", "resnet50");
-  if (variant == "resnet18") config.variant = models::ResNetVariant::kResNet18;
-  else if (variant == "resnet34") config.variant = models::ResNetVariant::kResNet34;
-  else if (variant == "resnet50") config.variant = models::ResNetVariant::kResNet50;
-  else throw InvalidArgument("unknown resnet variant: " + variant);
-
+  ResnetRunConfig config = resnet_run_config(context);
   std::ostringstream os;
   telemetry::Tracer analysis_tracer;
   const bool analyse = analyse_requested(context);

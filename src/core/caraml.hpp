@@ -7,10 +7,25 @@
 #include <vector>
 
 #include "core/llm.hpp"
+#include "core/resilient.hpp"
 #include "core/resnet.hpp"
 #include "jube/jube.hpp"
 
 namespace caraml::core {
+
+/// The run configs the llm_train / resnet_train actions run, decoded from a
+/// workpackage context by check::decode_llm_train / decode_resnet_train.
+/// `caraml llm` / `resnet` feed their flags in under the same keys. Throw
+/// InvalidArgument with the decoder's problem.
+LlmRunConfig llm_run_config(const jube::Context& context);
+ResnetRunConfig resnet_run_config(const jube::Context& context);
+
+/// Fault-injection keys: a context with a fault_plan file or a fault_rate
+/// > 0 runs resiliently with the options below (fault_seed, fault_horizon_s,
+/// fault_steps, checkpoint_every, checkpoint_dir, fault_retries).
+bool fault_requested(const jube::Context& context);
+ResilienceOptions resilience_from_context(const jube::Context& context,
+                                          int num_devices);
 
 /// Register the CARAML step actions on a JUBE registry:
 ///  * "llm_train"     — params: system, global_batch, micro_batch, devices

@@ -91,28 +91,18 @@ void add_fault_options(ArgParser& parser) {
   parser.add_option("retries", "max attempts per failure", std::string("3"));
 }
 
-bool fault_active(const ArgParser& parser) {
-  return !parser.get("fault-plan").empty() ||
-         parser.get_double("fault-rate") > 0.0;
-}
-
-core::ResilienceOptions resilience_from_parser(const ArgParser& parser,
-                                               int num_devices) {
-  core::ResilienceOptions options;
-  if (!parser.get("fault-plan").empty()) {
-    options.plan = fault::FaultPlan::from_yaml_file(parser.get("fault-plan"));
-  } else {
-    options.plan = fault::FaultPlan::generate(
-        static_cast<std::uint64_t>(parser.get_int("fault-seed")),
-        parser.get_double("fault-rate"), parser.get_double("fault-horizon"),
-        std::max(1, num_devices));
-  }
-  options.retry.seed = options.plan.seed;
-  options.retry.max_attempts = static_cast<int>(parser.get_int("retries"));
-  options.steps = parser.get_int("fault-steps");
-  options.checkpoint_every = parser.get_int("checkpoint-every");
-  options.checkpoint_dir = parser.get("checkpoint-dir");
-  return options;
+/// The fault flags under the workpackage-context keys the train actions read
+/// (core::resilience_from_context); `caraml run` threads them into every
+/// workpackage.
+jube::Context fault_context(const ArgParser& parser) {
+  return {{"fault_plan", parser.get("fault-plan")},
+          {"fault_seed", parser.get("fault-seed")},
+          {"fault_rate", parser.get("fault-rate")},
+          {"fault_horizon_s", parser.get("fault-horizon")},
+          {"fault_steps", parser.get("fault-steps")},
+          {"checkpoint_every", parser.get("checkpoint-every")},
+          {"checkpoint_dir", parser.get("checkpoint-dir")},
+          {"fault_retries", parser.get("retries")}};
 }
 
 std::map<std::string, std::string> fault_config_entries(
@@ -398,29 +388,19 @@ int cmd_run(const std::vector<std::string>& args) {
             .fingerprint();
   }
 
-  const bool resilient =
-      fault_active(parser) || parser.get_double("step-timeout") > 0.0;
+  const jube::Context faults = fault_context(parser);
+  const bool resilient = core::fault_requested(faults) ||
+                         parser.get_double("step-timeout") > 0.0;
   jube::RunResult result;
   if (resilient) {
-    if (fault_active(parser)) {
+    if (core::fault_requested(faults)) {
       // Thread the fault flags into every workpackage context so the train
-      // actions pick them up (see fault_requested in caraml.cpp).
-      const auto single = [](const std::string& name,
-                             const std::string& value) {
-        return jube::Parameter{name, {value}, ""};
-      };
+      // actions pick them up.
       jube::ParameterSet fault_set;
       fault_set.name = "fault_injection";
-      fault_set.parameters = {
-          single("fault_plan", parser.get("fault-plan")),
-          single("fault_seed", parser.get("fault-seed")),
-          single("fault_rate", parser.get("fault-rate")),
-          single("fault_horizon_s", parser.get("fault-horizon")),
-          single("fault_steps", parser.get("fault-steps")),
-          single("checkpoint_every", parser.get("checkpoint-every")),
-          single("checkpoint_dir", parser.get("checkpoint-dir")),
-          single("fault_retries", parser.get("retries")),
-      };
+      for (const auto& [name, value] : faults) {
+        fault_set.parameters.push_back(jube::Parameter{name, {value}, ""});
+      }
       benchmark.add_parameter_set(std::move(fault_set));
     }
     jube::RunOptions options;
@@ -510,9 +490,18 @@ int cmd_llm(const std::vector<std::string>& args) {
   add_fault_options(parser);
   if (!parser.parse(args)) return 0;
   TelemetryCli telemetry = TelemetryCli::from_parser(parser, "llm");
+  core::LlmRunConfig config = core::llm_run_config(
+      {{"system", parser.get("system")},
+       {"global_batch", parser.get("batch")},
+       {"micro_batch", parser.get("micro-batch")},
+       {"devices", parser.get("devices")},
+       {"tp", parser.get("tp")},
+       {"pp", parser.get("pp")},
+       {"model", parser.get("model")},
+       {"dtype", parser.get("dtype")}});
 
-  if (parser.get("system") == "GC200") {
-    const auto result = core::run_llm_ipu(parser.get_int("batch"));
+  if (config.system_tag == "GC200") {
+    const auto result = core::run_llm_ipu(config.global_batch);
     std::cout << "IPU GC200 (POD4), " << result.batch_tokens
               << "-token batch:\n"
               << "  tokens/s      : "
@@ -535,33 +524,10 @@ int cmd_llm(const std::vector<std::string>& args) {
     return 0;
   }
 
-  core::LlmRunConfig config;
-  config.system_tag = parser.get("system");
-  config.global_batch = parser.get_int("batch");
-  config.micro_batch = parser.get_int("micro-batch");
-  config.devices = static_cast<int>(parser.get_int("devices"));
-  config.tensor_parallel = static_cast<int>(parser.get_int("tp"));
-  config.pipeline_parallel = static_cast<int>(parser.get_int("pp"));
   config.num_nodes = static_cast<int>(parser.get_int("nodes"));
   config.device_compute_derate =
       parse_device_derates(parser.get("derate-device"));
-  const std::string model = parser.get("model");
-  if (model == "117M") config.model = models::GptConfig::gpt_117m();
-  else if (model == "800M") config.model = models::GptConfig::gpt_800m();
-  else if (model == "13B") config.model = models::GptConfig::gpt_13b();
-  else if (model == "175B") config.model = models::GptConfig::gpt_175b();
-  else throw caraml::InvalidArgument("unknown model: " + model);
   const std::string dtype = parser.get("dtype");
-  if (dtype == "fp32") {
-    config.model.mixed_precision = false;  // 4-byte state, half tensor peak
-  } else if (dtype == "int8") {
-    throw caraml::InvalidArgument(
-        "int8 is inference-only; `caraml llm` trains in bf16 or fp32 "
-        "(use `caraml inference --dtype int8`)");
-  } else if (dtype != "bf16") {
-    throw caraml::InvalidArgument("unknown dtype: '" + dtype +
-                                  "' (expected bf16 or fp32)");
-  }
   telemetry.dtype = dtype;
 
   std::map<std::string, std::string> run_config = {
@@ -574,13 +540,14 @@ int cmd_llm(const std::vector<std::string>& args) {
       {"pp", std::to_string(config.pipeline_parallel)},
       {"nodes", std::to_string(config.num_nodes)}};
 
-  if (fault_active(parser)) {
+  const jube::Context faults = fault_context(parser);
+  if (core::fault_requested(faults)) {
     const auto& node =
         topo::SystemRegistry::instance().by_tag(config.system_tag);
     const int devices =
         (config.devices > 0 ? config.devices : node.devices_per_node) *
         config.num_nodes;
-    const auto options = resilience_from_parser(parser, devices);
+    const auto options = core::resilience_from_context(faults, devices);
     const auto resilient = core::run_llm_resilient(config, options);
     for (const auto& [key, value] : fault_config_entries(parser)) {
       run_config[key] = value;
@@ -666,27 +633,24 @@ int cmd_resnet(const std::vector<std::string>& args) {
   if (!parser.parse(args)) return 0;
   const TelemetryCli telemetry = TelemetryCli::from_parser(parser, "resnet");
 
-  core::ResnetRunConfig config;
-  config.system_tag = parser.get("system");
-  config.global_batch = parser.get_int("batch");
-  config.devices = static_cast<int>(parser.get_int("devices"));
-  config.synthetic_data = parser.get_flag("synthetic");
+  core::ResnetRunConfig config = core::resnet_run_config(
+      {{"system", parser.get("system")},
+       {"global_batch", parser.get("batch")},
+       {"devices", parser.get("devices")},
+       {"variant", parser.get("variant")},
+       {"synthetic", parser.get_flag("synthetic") ? "true" : "false"}});
   config.device_compute_derate =
       parse_device_derates(parser.get("derate-device"));
-  const std::string variant = parser.get("variant");
-  if (variant == "resnet18") config.variant = models::ResNetVariant::kResNet18;
-  else if (variant == "resnet34") config.variant = models::ResNetVariant::kResNet34;
-  else if (variant == "resnet50") config.variant = models::ResNetVariant::kResNet50;
-  else throw caraml::InvalidArgument("unknown variant: " + variant);
   std::map<std::string, std::string> run_config = {
-      {"variant", variant},
+      {"variant", parser.get("variant")},
       {"global_batch", std::to_string(config.global_batch)},
       {"devices", std::to_string(config.devices)},
       {"synthetic", config.synthetic_data ? "1" : "0"}};
 
-  if (fault_active(parser)) {
+  const jube::Context faults = fault_context(parser);
+  if (core::fault_requested(faults)) {
     const auto options =
-        resilience_from_parser(parser, std::max(1, config.devices));
+        core::resilience_from_context(faults, std::max(1, config.devices));
     const auto resilient = core::run_resnet_resilient(config, options);
     for (const auto& [key, value] : fault_config_entries(parser)) {
       run_config[key] = value;
@@ -778,8 +742,9 @@ int cmd_inference(const std::vector<std::string>& args) {
   // manifest with the plan's provenance and retry a flaky run.
   std::optional<core::ResilienceOptions> resilience;
   fault::RunReport report;
-  if (fault_active(parser)) {
-    resilience = resilience_from_parser(parser, 1);
+  const jube::Context faults = fault_context(parser);
+  if (core::fault_requested(faults)) {
+    resilience = core::resilience_from_context(faults, 1);
     report.fault_seed = resilience->plan.seed;
     report.fault_fingerprint = resilience->plan.fingerprint();
     report.fault_events =

@@ -22,28 +22,6 @@ double kv_cache_bytes(const models::GptConfig& model, std::int64_t batch,
          static_cast<double>(tokens);
 }
 
-namespace {
-
-/// Byte widths and tensor-peak scale of one serving precision.
-struct ServingDtype {
-  double weight_bytes = 2.0;  ///< per parameter
-  double kv_bytes = 2.0;      ///< per cached KV element
-  double peak_scale = 1.0;    ///< vs DeviceSpec::peak_fp16_flops
-};
-
-ServingDtype serving_dtype(const std::string& dtype) {
-  if (dtype == "bf16") return {2.0, 2.0, 1.0};
-  if (dtype == "fp32") return {4.0, 4.0, 0.5};
-  // int8 weights stream at a quarter of fp32 and the int8 tensor pipes run
-  // at twice the fp16 rate; the KV cache stays fp16/bf16 — the kernel
-  // library's int8 path quantizes weights and activations, not KV history.
-  if (dtype == "int8") return {1.0, 2.0, 2.0};
-  throw InvalidArgument("unknown inference dtype: '" + dtype +
-                        "' (expected fp32, bf16, or int8)");
-}
-
-}  // namespace
-
 InferenceResult run_llm_inference(const InferenceConfig& config) {
   TELEMETRY_SPAN("inference/run");
   telemetry::Registry::global().counter("inference/runs").add();
@@ -54,14 +32,19 @@ InferenceResult run_llm_inference(const InferenceConfig& config) {
                        config.generate_tokens >= 1,
                    "inference config must be positive");
 
-  const ServingDtype dtype = serving_dtype(config.dtype);
+  const auto serving = tensor::dtype_from_string(config.dtype);
+  if (!serving) {
+    throw InvalidArgument("unknown inference dtype: '" + config.dtype +
+                          "' (expected fp32, bf16, or int8)");
+  }
+  const models::DTypeCost dtype = models::dtype_cost(*serving);
 
   InferenceResult result;
   result.system = node.display_name;
   result.batch = config.batch;
 
   const double weight_bytes =
-      config.model.total_parameters() * dtype.weight_bytes;
+      config.model.total_parameters() * dtype.value_bytes;
   const double peak_flops = node.device.peak_fp16_flops * dtype.peak_scale;
   const std::int64_t max_context =
       config.prompt_tokens + config.generate_tokens;

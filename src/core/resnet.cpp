@@ -67,16 +67,14 @@ ResnetRunResult run_resnet_gpu(const ResnetRunConfig& config) {
   result.devices = n;
 
   // ---- memory accounting ----------------------------------------------------
-  const double activations = model.activation_bytes_per_image() * b_dev;
-  const double state = model.model_state_bytes();
-  const double workspace = 3.0e9;
-  result.memory_per_device_bytes = activations + state + workspace;
+  const models::ResNetDeviceMemory memory = model.device_memory(b_dev);
+  result.memory_per_device_bytes = memory.total();
   try {
     sim::MemoryTracker tracker(node.device.name,
                                node.device.mem_capacity_bytes);
-    tracker.allocate("model+optimizer", state);
-    tracker.allocate("activations", activations);
-    tracker.allocate("workspace", workspace);
+    tracker.allocate("model+optimizer", memory.state);
+    tracker.allocate("activations", memory.activations);
+    tracker.allocate("workspace", memory.workspace);
   } catch (const OutOfMemory& oom) {
     telemetry::Registry::global().counter("resnet/oom").add();
     result.oom = true;

@@ -106,7 +106,7 @@ double GptMemoryModel::model_state_bytes() const {
   // precision only, the fp32 master copy — fp32 training IS the master copy.
   // Mixed: 2 + 4 resident, 12 shardable (18 B/param); fp32: 4 + 4, 8 (16).
   const double resident = config.training_value_bytes() + 4.0;
-  const double shardable = config.mixed_precision ? 12.0 : 8.0;
+  const double shardable = config.training_value_bytes() < 4.0 ? 12.0 : 8.0;
   const double optim = config.distributed_optimizer
                            ? shardable / data_parallel
                            : shardable;

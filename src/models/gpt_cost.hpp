@@ -10,8 +10,33 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
+
+#include "tensor/dtype.hpp"
 
 namespace caraml::models {
+
+/// Cost traits of a compute precision: the one table the training memory
+/// and time models, the layout analyzer and the serving model all key off.
+struct DTypeCost {
+  double value_bytes;  ///< per weight/activation value (per parameter served)
+  double kv_bytes;     ///< per cached K/V element when serving
+  double peak_scale;   ///< multiplier on DeviceSpec::peak_fp16_flops
+  bool trainable;
+};
+
+/// fp32 GEMMs run at half the bf16 tensor-core rate on every Table I system;
+/// int8 weights stream at a quarter of fp32 and its tensor pipes run at twice
+/// the fp16 rate, while the KV cache stays 2-byte (the kernel library's int8
+/// path quantizes weights and activations, not KV history).
+inline DTypeCost dtype_cost(tensor::DType dtype) {
+  switch (dtype) {
+    case tensor::DType::kF32: return {4.0, 4.0, 0.5, true};
+    case tensor::DType::kBf16: return {2.0, 2.0, 1.0, true};
+    case tensor::DType::kI8: return {1.0, 2.0, 2.0, false};
+  }
+  return {2.0, 2.0, 1.0, true};
+}
 
 /// GPT decoder architecture description.
 struct GptConfig {
@@ -26,9 +51,11 @@ struct GptConfig {
   bool flash_attention = true;
   bool rotary_embeddings = true;
   bool distributed_optimizer = true;
-  bool mixed_precision = true;
   bool activation_recompute = false;  // full recompute off by default
   bool sequence_parallel = false;
+
+  /// Training precision; bf16 is the paper's mixed precision.
+  tensor::DType dtype = tensor::DType::kBf16;
 
   /// Presets matching the paper's model sizes.
   static GptConfig gpt_117m();  // GPT-2 small; Graphcore benchmark
@@ -36,17 +63,14 @@ struct GptConfig {
   static GptConfig gpt_13b();
   static GptConfig gpt_175b();
 
-  /// Bytes per weight/activation value on the training hot path: bf16/fp16
-  /// under mixed precision, fp32 otherwise. Every bytes-per-value derivation
-  /// (model state, activations, comm volume) keys off this instead of a
-  /// hardcoded constant so `--dtype fp32` and `dtype:` layout entries change
-  /// exactly the places a real precision switch would.
-  double training_value_bytes() const { return mixed_precision ? 2.0 : 4.0; }
+  /// Bytes per weight/activation value on the training hot path. Every
+  /// bytes-per-value derivation (model state, activations, comm volume) keys
+  /// off this instead of a hardcoded constant so `--dtype fp32` and `dtype:`
+  /// layout entries change exactly the places a real precision switch would.
+  double training_value_bytes() const { return dtype_cost(dtype).value_bytes; }
 
-  /// Scale on the device's fp16/bf16 tensor peak for the active training
-  /// precision: fp32 GEMMs run at half the bf16 tensor-core rate on every
-  /// system in the paper's Table I.
-  double peak_flops_scale() const { return mixed_precision ? 1.0 : 0.5; }
+  /// Scale on the device's fp16/bf16 tensor peak for the training precision.
+  double peak_flops_scale() const { return dtype_cost(dtype).peak_scale; }
 
   /// Transformer-block parameters: 12 * L * h^2 (+ biases/LN, included).
   double transformer_parameters() const;
@@ -66,6 +90,13 @@ struct GptConfig {
   double flops_per_iteration(std::int64_t global_batch) const;
   std::int64_t tokens_per_iteration(std::int64_t global_batch) const;
 };
+
+/// The presets by the tag runs name them by.
+inline constexpr std::pair<const char*, GptConfig (*)()> kGptPresets[] = {
+    {"117M", &GptConfig::gpt_117m},
+    {"800M", &GptConfig::gpt_800m},
+    {"13B", &GptConfig::gpt_13b},
+    {"175B", &GptConfig::gpt_175b}};
 
 /// Memory footprint of one model replica shard.
 struct GptMemoryModel {

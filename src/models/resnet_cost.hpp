@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace caraml::models {
@@ -34,6 +35,20 @@ enum class ResNetVariant { kResNet18, kResNet34, kResNet50 };
 
 std::string resnet_variant_name(ResNetVariant variant);
 
+/// The variants by the tag runs name them by.
+inline constexpr std::pair<const char*, ResNetVariant> kResNetVariants[] = {
+    {"resnet18", ResNetVariant::kResNet18},
+    {"resnet34", ResNetVariant::kResNet34},
+    {"resnet50", ResNetVariant::kResNet50}};
+
+/// What one device holds while training a data-parallel replica.
+struct ResNetDeviceMemory {
+  double state = 0.0;        ///< model + optimizer state
+  double activations = 0.0;  ///< stored for the backward pass
+  double workspace = 3.0e9;  ///< framework workspace
+  double total() const { return activations + state + workspace; }
+};
+
 /// Full network description.
 struct ResNetModel {
   ResNetVariant variant = ResNetVariant::kResNet50;
@@ -57,6 +72,13 @@ struct ResNetModel {
   /// Weights + gradients + SGD-momentum state, fp32 master copies
   /// (TensorFlow mixed-precision training).
   double model_state_bytes() const;
+
+  /// The footprint the simulated run allocates and the static OOM checks
+  /// compare, at `images_per_device` images per step.
+  ResNetDeviceMemory device_memory(std::int64_t images_per_device) const {
+    return {model_state_bytes(), activation_bytes_per_image() *
+                                     static_cast<double>(images_per_device)};
+  }
 
   /// Gradient bytes exchanged per step by Horovod-style data-parallel
   /// all-reduce (fp16 compressed gradients).

@@ -85,14 +85,6 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& fn) {
-  parallel_for_range(begin, end, /*grain=*/1,
-                     [&fn](std::size_t lo, std::size_t hi) {
-                       for (std::size_t i = lo; i < hi; ++i) fn(i);
-                     });
-}
-
 void ThreadPool::parallel_for_range(
     std::size_t begin, std::size_t end, std::size_t grain,
     const std::function<void(std::size_t, std::size_t)>& fn) {
@@ -139,11 +131,6 @@ void ThreadPool::parallel_for_range(
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool(parse_env_threads(std::getenv("CARAML_NUM_THREADS")));
   return pool;
-}
-
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn) {
-  ThreadPool::global().parallel_for(begin, end, fn);
 }
 
 void parallel_for_range(std::size_t begin, std::size_t end, std::size_t grain,

@@ -1,4 +1,4 @@
-// Fixed-size thread pool with futures and blocking parallel-for primitives.
+// Fixed-size thread pool with futures and a blocking parallel-for primitive.
 //
 // The pool is the execution substrate for (a) the CPU training stack's
 // parallel tensor kernels and (b) the thread-backed "devices" in caraml::par.
@@ -54,11 +54,6 @@ class ThreadPool {
     return result;
   }
 
-  /// Run `fn(i)` for i in [begin, end), chunked over the pool; blocks until
-  /// all iterations completed. Exceptions from workers are rethrown.
-  void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t)>& fn);
-
   /// Run `fn(lo, hi)` over disjoint chunks covering [begin, end), each chunk
   /// at least `grain` indices (a grain of 0 counts as 1); blocks until all
   /// chunks completed. Chunk boundaries are grain-aligned: every chunk but
@@ -100,10 +95,6 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stopping_ = false;
 };
-
-/// Convenience: parallel_for on the global pool.
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn);
 
 /// Convenience: parallel_for_range on the global pool.
 void parallel_for_range(std::size_t begin, std::size_t end, std::size_t grain,

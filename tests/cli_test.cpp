@@ -212,6 +212,39 @@ TEST(CaramlCli, FailedRunStillFlushesTraceAndMetrics) {
   EXPECT_NE(line.find("\"status\":\"failed\""), std::string::npos) << line;
 }
 
+TEST(CaramlCli, SkipDoomedNeverSwallowsAnInputError) {
+  const std::string dir = ::testing::TempDir() + "caraml_cli_skipdoomed";
+  run_command("rm -rf " + dir + " && mkdir -p " + dir);
+  const std::string script = dir + "/fp16.yaml";
+  std::ofstream(script) << "benchmark:\n"
+                           "  name: fp16-llm\n"
+                           "parametersets:\n"
+                           "  - name: p\n"
+                           "    parameters:\n"
+                           "      - name: system\n"
+                           "        values: [A100]\n"
+                           "      - name: dtype\n"
+                           "        values: [fp16]\n"
+                           "steps:\n"
+                           "  - name: train\n"
+                           "    do: llm_train\n";
+  const std::string run =
+      std::string(CARAML_CLI_PATH) + " run --script " + script;
+  EXPECT_EQ(run_command(run).exit_code, 1);
+  const auto gated = run_command(run + " --skip-doomed");
+  EXPECT_EQ(gated.exit_code, 1) << gated.output;
+  EXPECT_NE(gated.output.find("dtype 'fp16'"), std::string::npos)
+      << gated.output;
+}
+
+TEST(CaramlCli, IpuPathRejectsUnknownModelTag) {
+  const auto result = run_command(std::string(CARAML_CLI_PATH) +
+                                  " llm --system GC200 --model 7B");
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("model '7B'"), std::string::npos)
+      << result.output;
+}
+
 TEST(CaramlCli, SweepAnalyseAnnotatesWorkpackages) {
   const auto result = run_command(
       std::string(CARAML_CLI_PATH) + " run --script " + CARAML_CONFIG_DIR +

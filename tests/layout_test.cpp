@@ -265,6 +265,14 @@ TEST(SkipDoomed, WorkpackageDoomReasons) {
 
   // Unknown actions and non-GPU systems never gate.
   EXPECT_EQ(workpackage_doom_reason(doomed, {"mystery_step"}), "");
+
+  // Input errors are not doom: a context that does not decode runs, and
+  // fails as it would without the gate.
+  for (const char* dtype : {"fp16", "int8"}) {
+    jube::Context bad = fine;
+    bad["dtype"] = dtype;
+    EXPECT_EQ(workpackage_doom_reason(bad, {"llm_train"}), "") << dtype;
+  }
 }
 
 TEST(SkipDoomed, SweepMarksGatedWorkpackagesSkipped) {

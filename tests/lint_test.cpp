@@ -100,6 +100,31 @@ TEST(LintCorpus, GuaranteedOomLlmWorkloadFlaggedStatically) {
   EXPECT_NE(diags.items()[0].message.find("37.3 GiB"), std::string::npos);
 }
 
+// --- lint decodes run settings as the run does, on every system -----------------
+
+TEST(LintCorpus, Gc200LlmModelTagDecodedLikeTheRun) {
+  EXPECT_EQ(lint_corpus_file("gc200_llm_model.yaml"),
+            (V{"yaml/type-mismatch@12:18"}));
+}
+
+TEST(LintCorpus, Gc200LlmInferenceOnlyDtypeRejected) {
+  EXPECT_EQ(lint_corpus_file("gc200_llm_dtype.yaml"),
+            (V{"yaml/type-mismatch@11:18"}));
+}
+
+TEST(LintCorpus, Gc200ResnetVariantDecodedLikeTheRun) {
+  EXPECT_EQ(lint_corpus_file("gc200_resnet_variant.yaml"),
+            (V{"yaml/type-mismatch@12:18"}));
+}
+
+TEST(LintCorpus, CampaignModelTagDecodedLikeTheRunner) {
+  DiagnosticList diags;
+  EXPECT_EQ(lint_corpus_file("campaign_model.yaml", &diags),
+            (V{"yaml/type-mismatch@7:10"}));
+  EXPECT_NE(diags.items()[0].message.find("117M/800M/13B/175B"),
+            std::string::npos);
+}
+
 // --- layout analyzer corpus -----------------------------------------------------
 
 TEST(LintCorpus, LayoutFeasibilityDefects) {

@@ -92,6 +92,36 @@ TEST(GptMemory, MixedPrecisionAdamIs18BytesPerParam) {
               memory.config.total_parameters() * 18.0, 1.0);
 }
 
+TEST(GptMemory, Fp32AdamIs16BytesPerParamAtHalfPeak) {
+  // fp32 doubles the weight bytes but is its own master copy: 4 + 4 + 8.
+  GptMemoryModel memory;
+  memory.config = GptConfig::gpt_800m();
+  memory.config.distributed_optimizer = false;
+  memory.config.dtype = tensor::DType::kF32;
+  EXPECT_NEAR(memory.model_state_bytes(),
+              memory.config.total_parameters() * 16.0, 1.0);
+  EXPECT_DOUBLE_EQ(memory.config.training_value_bytes(), 4.0);
+  EXPECT_DOUBLE_EQ(memory.config.peak_flops_scale(), 0.5);
+}
+
+TEST(DTypeCost, OnlyInt8IsInferenceOnly) {
+  EXPECT_TRUE(dtype_cost(tensor::DType::kF32).trainable);
+  EXPECT_TRUE(dtype_cost(tensor::DType::kBf16).trainable);
+  EXPECT_FALSE(dtype_cost(tensor::DType::kI8).trainable);
+  // int8 quantizes weights, not the KV history.
+  EXPECT_DOUBLE_EQ(dtype_cost(tensor::DType::kI8).value_bytes, 1.0);
+  EXPECT_DOUBLE_EQ(dtype_cost(tensor::DType::kI8).kv_bytes, 2.0);
+}
+
+TEST(GptConfig, PresetTagsNameTheirPresets) {
+  std::string tags;
+  for (const auto& [tag, make] : kGptPresets) {
+    EXPECT_EQ(make().name, std::string("GPT-") + tag);
+    tags += std::string(tag) + " ";
+  }
+  EXPECT_EQ(tags, "117M 800M 13B 175B ");
+}
+
 TEST(GptMemory, DistributedOptimizerShardsState) {
   GptMemoryModel memory;
   memory.config = GptConfig::gpt_800m();
@@ -238,6 +268,22 @@ TEST(ResNet, VariantNames) {
   EXPECT_EQ(resnet_variant_name(ResNetVariant::kResNet18), "ResNet18");
 }
 
+TEST(ResNet, VariantTagsNameTheirVariants) {
+  for (const auto& [tag, variant] : kResNetVariants) {
+    EXPECT_EQ("resnet" + resnet_variant_name(variant).substr(6), tag);
+  }
+}
+
+TEST(ResNet, DeviceMemorySumsStateActivationsAndWorkspace) {
+  const ResNetModel model = ResNetModel::build(ResNetVariant::kResNet50);
+  const ResNetDeviceMemory memory = model.device_memory(64);
+  EXPECT_DOUBLE_EQ(memory.state, model.model_state_bytes());
+  EXPECT_DOUBLE_EQ(memory.activations,
+                   64.0 * model.activation_bytes_per_image());
+  EXPECT_DOUBLE_EQ(memory.total(),
+                   memory.state + memory.activations + memory.workspace);
+}
+
 struct FlopCase {
   ResNetVariant variant;
   double min_flops, max_flops;
@@ -248,11 +294,15 @@ TEST_P(ResNetFlops, ForwardFlopsInRange) {
   EXPECT_GE(model.forward_flops_per_image(), GetParam().min_flops);
   EXPECT_LE(model.forward_flops_per_image(), GetParam().max_flops);
 }
-INSTANTIATE_TEST_SUITE_P(
-    Models, ResNetFlops,
-    ::testing::Values(FlopCase{ResNetVariant::kResNet18, 3.0e9, 4.2e9},
-                      FlopCase{ResNetVariant::kResNet34, 6.5e9, 8.0e9},
-                      FlopCase{ResNetVariant::kResNet50, 7.8e9, 8.6e9}));
+// gtest_discover_tests names each case after gtest's byte dump of its FlopCase.
+// A static array is zero-initialized first, padding included, so the dump (and
+// the ctest name) is the same on every build; temporaries leave stack garbage.
+constexpr FlopCase kFlopCases[] = {
+    {ResNetVariant::kResNet18, 3.0e9, 4.2e9},
+    {ResNetVariant::kResNet34, 6.5e9, 8.0e9},
+    {ResNetVariant::kResNet50, 7.8e9, 8.6e9},
+};
+INSTANTIATE_TEST_SUITE_P(Models, ResNetFlops, ::testing::ValuesIn(kFlopCases));
 
 }  // namespace
 }  // namespace caraml::models

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <ostream>
 #include <set>
 
 #include "util/argparse.hpp"
@@ -157,6 +158,9 @@ struct BandwidthCase {
   const char* text;
   double value;
 };
+// gtest_discover_tests names each case after the printed parameter: print the
+// text, not the default byte dump, whose pointer changes from build to build.
+void PrintTo(const BandwidthCase& c, std::ostream* os) { *os << c.text; }
 class BandwidthParse : public ::testing::TestWithParam<BandwidthCase> {};
 TEST_P(BandwidthParse, RoundTrips) {
   EXPECT_DOUBLE_EQ(units::parse_bandwidth(GetParam().text), GetParam().value);
@@ -246,23 +250,29 @@ TEST(ThreadPool, SubmitReturnsValue) {
 TEST(ThreadPool, ParallelForCoversAllIndices) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(257);
-  pool.parallel_for(0, hits.size(), [&](std::size_t i) { ++hits[i]; });
+  pool.parallel_for_range(0, hits.size(), 1,
+                          [&](std::size_t lo, std::size_t hi) {
+                            for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+                          });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ParallelForEmptyRange) {
   ThreadPool pool(2);
   bool ran = false;
-  pool.parallel_for(5, 5, [&](std::size_t) { ran = true; });
+  pool.parallel_for_range(5, 5, 1,
+                          [&](std::size_t, std::size_t) { ran = true; });
   EXPECT_FALSE(ran);
 }
 
 TEST(ThreadPool, ParallelForPropagatesExceptions) {
   ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(0, 100,
-                                 [](std::size_t i) {
-                                   if (i == 50) throw std::runtime_error("x");
-                                 }),
+  EXPECT_THROW(pool.parallel_for_range(0, 100, 1,
+                                       [](std::size_t lo, std::size_t hi) {
+                                         if (lo <= 50 && 50 < hi) {
+                                           throw std::runtime_error("x");
+                                         }
+                                       }),
                std::runtime_error);
 }
 
