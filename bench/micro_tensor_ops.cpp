@@ -74,11 +74,11 @@ BENCHMARK(BM_MatmulTn)->Arg(64)->Arg(128)->Arg(256)->UseRealTime();
 // Naming contract for `bench_perf.py dtype-speedup`: a dtype benchmark pairs
 // with the fp32 benchmark whose name is the same minus the "Bf16" / "Int8"
 // token (BM_MatmulBf16Wide/4096 <-> BM_MatmulWide/4096). The Wide shapes are
-// the bandwidth-bound decode case (8 rows against a square weight): there the
-// GEMM streams op(B) once per call and the 2x / 4x smaller storage of
-// bf16 / int8 converts directly into speedup. The cubic shapes are
-// compute-bound on this substrate and document that dtype storage does NOT
-// help when the packing already amortizes the traffic.
+// the bandwidth-bound decode case (8 rows against a square weight): fp32,
+// bf16 and int8 all take the skinny path there and stream op(B) once per
+// call, so each pair measures only what the narrower bf16 / int8 loads save.
+// The cubic shapes are compute-bound on this substrate and document that
+// dtype storage does NOT help when the packing already amortizes the traffic.
 
 void BM_MatmulBf16(benchmark::State& state) {
   const std::int64_t n = state.range(0);
@@ -209,16 +209,17 @@ void BM_SoftmaxRows(benchmark::State& state) {
 }
 BENCHMARK(BM_SoftmaxRows)->Arg(64)->Arg(512)->UseRealTime();
 
-void BM_LayerNormForward(benchmark::State& state) {
+// tanh-GELU over a [256, 256] activation: the elementwise cost the MLP's
+// fused GELU epilogue also pays per element.
+void BM_Gelu(benchmark::State& state) {
   Rng rng(1);
   const Tensor a = Tensor::randn({256, 256}, rng);
   for (auto _ : state) {
-    // Inline layer-norm math via gelu as a stand-in elementwise cost probe.
     Tensor out = caraml::tensor::gelu(a);
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_LayerNormForward)->UseRealTime();
+BENCHMARK(BM_Gelu)->UseRealTime();
 
 // --- causal attention: fused streaming kernel vs dense head loop ------------
 //

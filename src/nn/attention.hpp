@@ -11,6 +11,10 @@
 //     O(B·T·C + B·H·T) instead of the head-loop's O(B·H·T²).
 //   kHeadLoop — the original per-(b, h) composition of matmul / softmax
 //     kernels, kept as the equivalence oracle for tests and benchmarks.
+//
+// Inference can instead keep K and V per position (forward_cached): a decode
+// step then projects one new row and attends it over the cache with the
+// fused kernel, instead of recomputing every earlier row.
 #pragma once
 
 #include <memory>
@@ -24,13 +28,27 @@ class CausalSelfAttention : public Module {
  public:
   enum class Engine { kFused, kHeadLoop };
 
+  /// max_positions sizes the K/V cache of forward_cached(): the longest
+  /// sequence it serves (GPT's block_size). 0 leaves the module without one.
   CausalSelfAttention(std::int64_t embed_dim, std::int64_t num_heads,
-                      Rng& rng);
+                      Rng& rng, std::int64_t max_positions = 0);
 
   /// input [B, T, C] -> output [B, T, C].
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
+
+  /// Inference over positions [pos, pos + T) of one sequence (batch 1),
+  /// input [1, T, C] -> output [1, T, C]. The rows' K and V are written into
+  /// the cache at those positions, and every row attends over cached
+  /// positions [0, its own], so positions [0, pos) must already be cached:
+  /// pos == 0 is a prefill, a decode step passes one row at the next
+  /// position. Throws if pos lies past the cached positions; backward() and
+  /// set_compute_dtype() empty the cache, since the weights or their dtype
+  /// may change after them. The cache holds K and V for max_positions
+  /// positions (2 · max_positions · C floats), allocated in full by the
+  /// first call. Always runs the fused kernel; caches nothing for backward.
+  Tensor forward_cached(const Tensor& input, std::int64_t pos);
 
   std::int64_t num_heads() const { return num_heads_; }
 
@@ -49,6 +67,7 @@ class CausalSelfAttention : public Module {
   std::int64_t embed_dim_;
   std::int64_t num_heads_;
   std::int64_t head_dim_;
+  std::int64_t max_positions_;
   Engine engine_ = Engine::kFused;
   std::shared_ptr<Linear> qkv_;
   std::shared_ptr<Linear> proj_;
@@ -60,6 +79,12 @@ class CausalSelfAttention : public Module {
   Tensor cached_heads_out_;  // [B*T, C]   (fused engine)
   Tensor cached_lse_;        // [B*H, T]   (fused engine)
   std::vector<Tensor> cached_att_;  // per (b, h): [T, T] (head-loop engine)
+
+  // forward_cached() state: K and V of batch 1, [max_positions, C] each,
+  // valid for positions [0, cached_positions_).
+  Tensor k_cache_;
+  Tensor v_cache_;
+  std::int64_t cached_positions_ = 0;
 };
 
 }  // namespace caraml::nn

@@ -1,5 +1,8 @@
 #include "nn/gpt.hpp"
 
+#include <algorithm>
+
+#include "telemetry/span.hpp"
 #include "util/error.hpp"
 
 namespace caraml::nn {
@@ -8,10 +11,11 @@ using tensor::Tensor;
 
 TransformerBlock::TransformerBlock(std::int64_t embed_dim,
                                    std::int64_t num_heads, Rng& rng,
-                                   float dropout)
+                                   float dropout, std::int64_t max_positions)
     : embed_dim_(embed_dim),
       ln1_(std::make_shared<LayerNorm>(embed_dim)),
-      attn_(std::make_shared<CausalSelfAttention>(embed_dim, num_heads, rng)),
+      attn_(std::make_shared<CausalSelfAttention>(embed_dim, num_heads, rng,
+                                                  max_positions)),
       ln2_(std::make_shared<LayerNorm>(embed_dim)),
       fc_in_(std::make_shared<Linear>(embed_dim, 4 * embed_dim, rng)),
       fc_out_(std::make_shared<Linear>(4 * embed_dim, embed_dim, rng)) {
@@ -22,20 +26,35 @@ TransformerBlock::TransformerBlock(std::int64_t embed_dim,
 }
 
 Tensor TransformerBlock::forward(const Tensor& input) {
+  return run(input, std::nullopt);
+}
+
+Tensor TransformerBlock::forward_cached(const Tensor& input,
+                                        std::int64_t pos) {
+  return run(input, pos);
+}
+
+Tensor TransformerBlock::run(const Tensor& input,
+                             std::optional<std::int64_t> pos) {
   CARAML_CHECK_MSG(input.rank() == 3 && input.dim(2) == embed_dim_,
                    "block expects [B, T, C]");
   batch_ = input.dim(0);
   time_ = input.dim(1);
   const std::int64_t n = batch_ * time_;
+  const auto linear = [&pos](Linear& layer, const Tensor& x) {
+    return pos ? layer.infer(x) : layer.forward(x);
+  };
 
   // x = input + attn(ln1(input))
-  Tensor ln1_out = ln1_->forward(input.reshape({n, embed_dim_}));
-  Tensor attn_out = attn_->forward(ln1_out.reshape({batch_, time_, embed_dim_}));
+  Tensor ln1_out = ln1_->forward(input.reshape({n, embed_dim_}))
+                       .reshape({batch_, time_, embed_dim_});
+  Tensor attn_out = pos ? attn_->forward_cached(ln1_out, *pos)
+                        : attn_->forward(ln1_out);
   Tensor x = tensor::add(input, attn_out);
 
   // x = x + mlp(ln2(x))
   Tensor ln2_out = ln2_->forward(x.reshape({n, embed_dim_}));
-  Tensor mlp = fc_out_->forward(fc_in_->forward(ln2_out));
+  Tensor mlp = linear(*fc_out_, linear(*fc_in_, ln2_out));
   Tensor out = tensor::add(x, mlp.reshape({batch_, time_, embed_dim_}));
   return out;
 }
@@ -96,8 +115,23 @@ GptModel::GptModel(GptModelConfig config, Rng& rng)
   blocks_.reserve(static_cast<std::size_t>(config.num_layers));
   for (std::int64_t i = 0; i < config.num_layers; ++i) {
     blocks_.push_back(std::make_shared<TransformerBlock>(
-        config.embed_dim, config.num_heads, rng, config.dropout));
+        config.embed_dim, config.num_heads, rng, config.dropout,
+        config.block_size));
   }
+}
+
+Tensor GptModel::embed(const Tensor& tokens, std::int64_t pos) {
+  const std::int64_t batch = tokens.dim(0), time = tokens.dim(1);
+  const std::int64_t c = config_.embed_dim;
+  Tensor x = tok_emb_->forward(tokens);  // [B*T, C]
+  for (std::int64_t b = 0; b < batch; ++b) {
+    for (std::int64_t t = 0; t < time; ++t) {
+      float* row = x.data() + (b * time + t) * c;
+      const float* pos_row = pos_emb_.value.data() + (pos + t) * c;
+      for (std::int64_t j = 0; j < c; ++j) row[j] += pos_row[j];
+    }
+  }
+  return x.reshape({batch, time, c});
 }
 
 Tensor GptModel::forward(const Tensor& tokens) {
@@ -109,20 +143,29 @@ Tensor GptModel::forward(const Tensor& tokens) {
   const std::int64_t n = batch_ * time_;
   const std::int64_t c = config_.embed_dim;
 
-  Tensor x = tok_emb_->forward(tokens);  // [n, C]
-  for (std::int64_t b = 0; b < batch_; ++b) {
-    for (std::int64_t t = 0; t < time_; ++t) {
-      float* row = x.data() + (b * time_ + t) * c;
-      const float* pos = pos_emb_.value.data() + t * c;
-      for (std::int64_t j = 0; j < c; ++j) row[j] += pos[j];
-    }
-  }
-
-  Tensor h = x.reshape({batch_, time_, c});
+  Tensor h = embed(tokens, 0);
   for (auto& block : blocks_) h = block->forward(h);
 
   Tensor hn = ln_f_->forward(h.reshape({n, c}));
   return lm_head_->forward(hn);  // [n, vocab]
+}
+
+Tensor GptModel::forward_cached(const std::vector<std::int64_t>& ids,
+                                std::int64_t pos) {
+  const auto time = static_cast<std::int64_t>(ids.size());
+  CARAML_CHECK_MSG(time >= 1 && pos >= 0 && pos + time <= config_.block_size,
+                   "cached positions must lie within the block size");
+  const std::int64_t c = config_.embed_dim;
+  Tensor tokens({1, time});
+  for (std::int64_t t = 0; t < time; ++t) {
+    tokens[t] = static_cast<float>(ids[static_cast<std::size_t>(t)]);
+  }
+  Tensor h = embed(tokens, pos);
+  for (auto& block : blocks_) h = block->forward_cached(h, pos);
+
+  const Tensor last({1, c}, std::vector<float>(h.data() + (time - 1) * c,
+                                               h.data() + time * c));
+  return lm_head_->infer(ln_f_->forward(last));  // [1, vocab]
 }
 
 Tensor GptModel::backward(const Tensor& grad_logits) {
@@ -161,49 +204,65 @@ std::vector<Parameter*> GptModel::parameters() {
   return out;
 }
 
+namespace {
+
+// Greedy argmax of logits [1, vocab] when temperature == 0, else a draw from
+// softmax(logits / temperature).
+std::int64_t sample_next(const Tensor& logits, float temperature, Rng& rng) {
+  const std::int64_t vocab = logits.dim(1);
+  std::int64_t next = 0;
+  if (temperature == 0.0f) {
+    for (std::int64_t v = 1; v < vocab; ++v) {
+      if (logits[v] > logits[next]) next = v;
+    }
+    return next;
+  }
+  Tensor scaled({1, vocab});
+  for (std::int64_t v = 0; v < vocab; ++v) scaled[v] = logits[v] / temperature;
+  const Tensor probs = tensor::softmax_rows(scaled);
+  double r = rng.next_double();
+  for (std::int64_t v = 0; v < vocab; ++v) {
+    r -= probs[v];
+    next = v;  // numeric tail: fall through to the last token
+    if (r <= 0.0) break;
+  }
+  return next;
+}
+
+}  // namespace
+
 std::vector<std::int64_t> GptModel::generate(
     const std::vector<std::int64_t>& prompt, std::int64_t new_tokens,
     float temperature, Rng& rng) {
   CARAML_CHECK_MSG(!prompt.empty(), "generation needs a non-empty prompt");
   CARAML_CHECK_MSG(temperature >= 0.0f, "temperature must be non-negative");
   std::vector<std::int64_t> sequence = prompt;
-  const std::int64_t vocab = config_.vocab_size;
-
-  for (std::int64_t step = 0; step < new_tokens; ++step) {
-    // Sliding context window of at most block_size tokens.
-    const std::int64_t context =
-        std::min<std::int64_t>(static_cast<std::int64_t>(sequence.size()),
-                               config_.block_size);
-    Tensor tokens({1, context});
-    for (std::int64_t t = 0; t < context; ++t) {
-      tokens[t] = static_cast<float>(
-          sequence[sequence.size() - static_cast<std::size_t>(context - t)]);
-    }
-    const Tensor logits = forward(tokens);  // [context, vocab]
-    const float* last = logits.data() + (context - 1) * vocab;
-
-    std::int64_t next = 0;
-    if (temperature == 0.0f) {
-      for (std::int64_t v = 1; v < vocab; ++v) {
-        if (last[v] > last[next]) next = v;
-      }
-    } else {
-      Tensor scaled({1, vocab});
-      for (std::int64_t v = 0; v < vocab; ++v) {
-        scaled[v] = last[v] / temperature;
-      }
-      const Tensor probs = tensor::softmax_rows(scaled);
-      double r = rng.next_double();
-      for (std::int64_t v = 0; v < vocab; ++v) {
-        r -= probs[v];
-        if (r <= 0.0) {
-          next = v;
-          break;
-        }
-        next = v;  // numeric tail: fall through to the last token
-      }
-    }
-    sequence.push_back(next);
+  if (new_tokens <= 0) return sequence;
+  const auto block = static_cast<std::size_t>(config_.block_size);
+  // The context forward() would see: the last block_size ids.
+  const auto window = [&sequence, block] {
+    return std::vector<std::int64_t>(
+        sequence.end() -
+            static_cast<std::ptrdiff_t>(std::min(sequence.size(), block)),
+        sequence.end());
+  };
+  {
+    TELEMETRY_SPAN("prefill");
+    sequence.push_back(
+        sample_next(forward_cached(window(), 0), temperature, rng));
+  }
+  TELEMETRY_SPAN("decode");
+  const std::size_t total =
+      prompt.size() + static_cast<std::size_t>(new_tokens);
+  while (sequence.size() < total) {
+    // The newest id goes to the next position while the window has room;
+    // past block_size every position shifts and the caches are rebuilt.
+    const std::size_t pos = sequence.size() - 1;
+    const Tensor logits =
+        pos < block ? forward_cached({sequence.back()},
+                                     static_cast<std::int64_t>(pos))
+                    : forward_cached(window(), 0);
+    sequence.push_back(sample_next(logits, temperature, rng));
   }
   return sequence;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <mutex>
+#include <utility>
 
 #include "tensor/fused.hpp"
 #include "util/error.hpp"
@@ -64,39 +65,48 @@ void Linear::calibrate_int8(const Tensor& sample_input) {
   calibrated_absmax_ = absmax;
 }
 
-Tensor Linear::forward(const Tensor& input) {
+Tensor Linear::forward(const Tensor& input) { return run(input, true); }
+
+Tensor Linear::infer(const Tensor& input) { return run(input, false); }
+
+const Tensor& Linear::draw_dropout_mask(std::int64_t n) {
+  // Fresh inverted-dropout mask per forward: kept slots carry 1/(1-p) so the
+  // activation's expectation is unchanged.
+  cached_mask_ = Tensor({n, weight_.value.dim(0)});
+  const float inv_keep = 1.0f / (1.0f - dropout_p_);
+  float* __restrict pm = cached_mask_.data();
+  const std::int64_t count = cached_mask_.numel();
+  for (std::int64_t i = 0; i < count; ++i) {
+    pm[i] = dropout_rng_.next_double() < dropout_p_ ? 0.0f : inv_keep;
+  }
+  return cached_mask_;
+}
+
+Tensor Linear::run(const Tensor& input, bool train) {
   CARAML_CHECK_MSG(input.rank() == 2, "Linear expects [N, in]");
   CARAML_CHECK_MSG(input.dim(1) == weight_.value.dim(1),
                    "Linear input feature mismatch");
   const Tensor* bias = has_bias_ ? &bias_.value : nullptr;
+  const bool gelu = epilogue_ == Epilogue::kGelu;
+  const bool dropout = train && epilogue_ == Epilogue::kDropout;
+  Tensor* pre = train ? &cached_pre_ : nullptr;  // kGelu: what backward needs
   if (compute_dtype_ == tensor::DType::kBf16) {
     // Re-round the fp32 master weights every forward (the optimizer moves
     // them between steps); backward reuses the same rounded copies for
     // dW and dX so forward and backward see one consistent bf16 snapshot.
     weight_bf16_ = tensor::Bf16Tensor::from_float(weight_.value);
-    cached_input_bf16_ = tensor::Bf16Tensor::from_float(input);
-    switch (epilogue_) {
-      case Epilogue::kGelu:
-        return tensor::fused::linear_gelu_bf16(cached_input_bf16_,
-                                               weight_bf16_, bias,
-                                               &cached_pre_);
-      case Epilogue::kDropout: {
-        const std::int64_t n = input.dim(0), out_dim = weight_.value.dim(0);
-        cached_mask_ = Tensor({n, out_dim});
-        const float inv_keep = 1.0f / (1.0f - dropout_p_);
-        float* __restrict pm = cached_mask_.data();
-        const std::int64_t count = n * out_dim;
-        for (std::int64_t i = 0; i < count; ++i) {
-          pm[i] = dropout_rng_.next_double() < dropout_p_ ? 0.0f : inv_keep;
-        }
-        return tensor::fused::linear_dropout_bf16(cached_input_bf16_,
-                                                  weight_bf16_, bias,
-                                                  cached_mask_);
-      }
-      case Epilogue::kNone:
-        break;
+    tensor::Bf16Tensor x = tensor::Bf16Tensor::from_float(input);
+    Tensor out;
+    if (gelu) {
+      out = tensor::fused::linear_gelu_bf16(x, weight_bf16_, bias, pre);
+    } else if (dropout) {
+      out = tensor::fused::linear_dropout_bf16(x, weight_bf16_, bias,
+                                               draw_dropout_mask(input.dim(0)));
+    } else {
+      out = tensor::fused::linear_bf16(x, weight_bf16_, bias);
     }
-    return tensor::fused::linear_bf16(cached_input_bf16_, weight_bf16_, bias);
+    if (train) cached_input_bf16_ = std::move(x);
+    return out;
   }
   if (compute_dtype_ == tensor::DType::kI8) {
     CARAML_CHECK_MSG(epilogue_ != Epilogue::kDropout,
@@ -111,32 +121,14 @@ Tensor Linear::forward(const Tensor& input) {
             : tensor::absmax_scale(input.data(), input.numel());
     const tensor::QuantizedTensor qx =
         tensor::quantize_with_scale(input, scale);
-    if (epilogue_ == Epilogue::kGelu) {
-      return tensor::fused::linear_gelu_i8(qx, weight_i8_, bias, &cached_pre_);
-    }
+    if (gelu) return tensor::fused::linear_gelu_i8(qx, weight_i8_, bias, pre);
     return tensor::fused::linear_i8(qx, weight_i8_, bias);
   }
-  cached_input_ = input;
-  switch (epilogue_) {
-    case Epilogue::kGelu:
-      return tensor::fused::linear_gelu(input, weight_.value, bias,
-                                        &cached_pre_);
-    case Epilogue::kDropout: {
-      // Fresh inverted-dropout mask per forward: kept slots carry 1/(1-p) so
-      // the activation's expectation is unchanged.
-      const std::int64_t n = input.dim(0), out_dim = weight_.value.dim(0);
-      cached_mask_ = Tensor({n, out_dim});
-      const float inv_keep = 1.0f / (1.0f - dropout_p_);
-      float* __restrict pm = cached_mask_.data();
-      const std::int64_t count = n * out_dim;
-      for (std::int64_t i = 0; i < count; ++i) {
-        pm[i] = dropout_rng_.next_double() < dropout_p_ ? 0.0f : inv_keep;
-      }
-      return tensor::fused::linear_dropout(input, weight_.value, bias,
-                                           cached_mask_);
-    }
-    case Epilogue::kNone:
-      break;
+  if (train) cached_input_ = input;
+  if (gelu) return tensor::fused::linear_gelu(input, weight_.value, bias, pre);
+  if (dropout) {
+    return tensor::fused::linear_dropout(input, weight_.value, bias,
+                                         draw_dropout_mask(input.dim(0)));
   }
   return tensor::fused::linear(input, weight_.value, bias);
 }

@@ -28,6 +28,11 @@ class Linear : public Module {
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
 
+  /// Inference forward: the same product and epilogue, except that dropout
+  /// reduces to its bias — no mask is drawn, so the training mask stream is
+  /// left where it was — and nothing is kept for backward.
+  Tensor infer(const Tensor& input);
+
   Parameter& weight() { return weight_; }
   Parameter* bias() { return has_bias_ ? &bias_ : nullptr; }
 
@@ -59,6 +64,10 @@ class Linear : public Module {
   void calibrate_int8(const Tensor& sample_input);
 
  private:
+  Tensor run(const Tensor& input, bool train);
+  /// Draw a fresh [n, out] inverted-dropout keep-mask into cached_mask_.
+  const Tensor& draw_dropout_mask(std::int64_t n);
+
   Parameter weight_;
   Parameter bias_;
   bool has_bias_;

@@ -61,24 +61,31 @@ void stage_head(const float* src, std::int64_t time, std::int64_t head_dim,
   }
 }
 
-// Per-(b, h) forward over one head's staged Q/K/V. Processes one query block
-// at a time: causality bounds the live key range to [0, i0 + br), so a single
-// QK^T gemm over that prefix, an exact softmax over each row's live columns,
-// and a single P·V gemm produce the block's output. Scratch stays at
-// O(block · time) per thread — the full [T, T] score matrix is never held.
-// Query blocks run in a fixed order, so the result does not depend on how
-// (b, h) pairs were distributed over threads.
-void attention_head_forward(const float* q_base, const float* k_base,
-                            const float* v_base, std::int64_t time,
-                            std::int64_t head_dim, std::int64_t qkv_stride,
+// Per-(b, h) forward over one head's staged Q/K/V. The q_rows queries are the
+// last q_rows positions of the key range [0, time): query row r sits at key
+// position first + r, first = time - q_rows (0 in training, where every
+// position queries; time - 1 for a decode step's single query over a K/V
+// cache). Processes one query block at a time: causality bounds the live key
+// range to [0, first + i0 + br), so a single QK^T gemm over that prefix, an
+// exact softmax over each row's live columns, and a single P·V gemm produce
+// the block's output. Scratch stays at O(block · time) per thread — the full
+// [T, T] score matrix is never held. Query blocks run in a fixed order, so
+// the result does not depend on how (b, h) pairs were distributed over
+// threads.
+void attention_head_forward(const float* q_base, std::int64_t q_stride,
+                            const float* k_base, const float* v_base,
+                            std::int64_t kv_stride, std::int64_t q_rows,
+                            std::int64_t time, std::int64_t head_dim,
                             float scale, float* out_base,
                             std::int64_t out_stride, float* lse_row) {
   constexpr std::int64_t block = kAttentionBlock;
+  const std::int64_t first = time - q_rows;
   Workspace& ws = Workspace::local();
-  const std::size_t panel = static_cast<std::size_t>(time * head_dim);
-  Workspace::Buffer q_buf = ws.take(panel);
-  Workspace::Buffer k_buf = ws.take(panel);
-  Workspace::Buffer v_buf = ws.take(panel);
+  const std::size_t kv_panel = static_cast<std::size_t>(time * head_dim);
+  Workspace::Buffer q_buf =
+      ws.take(static_cast<std::size_t>(q_rows * head_dim));
+  Workspace::Buffer k_buf = ws.take(kv_panel);
+  Workspace::Buffer v_buf = ws.take(kv_panel);
   Workspace::Buffer s_buf = ws.take(static_cast<std::size_t>(block * time));
   Workspace::Buffer acc_buf =
       ws.take(static_cast<std::size_t>(block * head_dim));
@@ -87,15 +94,16 @@ void attention_head_forward(const float* q_base, const float* k_base,
   float* __restrict v = v_buf.data();
   float* __restrict s = s_buf.data();
   float* __restrict acc = acc_buf.data();
-  stage_head(q_base, time, head_dim, qkv_stride, q);
-  stage_head(k_base, time, head_dim, qkv_stride, kk);
-  stage_head(v_base, time, head_dim, qkv_stride, v);
+  stage_head(q_base, q_rows, head_dim, q_stride, q);
+  stage_head(k_base, time, head_dim, kv_stride, kk);
+  stage_head(v_base, time, head_dim, kv_stride, v);
 
-  for (std::int64_t i0 = 0; i0 < time; i0 += block) {
-    const std::int64_t br = std::min(block, time - i0);
-    // No row in this block attends past i0 + br - 1; keys beyond that are
-    // skipped outright (~half the QK^T and P·V flops of the dense path).
-    const std::int64_t jext = i0 + br;
+  for (std::int64_t i0 = 0; i0 < q_rows; i0 += block) {
+    const std::int64_t br = std::min(block, q_rows - i0);
+    // No row in this block attends past first + i0 + br - 1; keys beyond
+    // that are skipped outright (~half the QK^T and P·V flops of the dense
+    // path).
+    const std::int64_t jext = first + i0 + br;
 
     // S = Q_i · K^T over the live key prefix.
     std::fill_n(s, br * jext, 0.0f);
@@ -103,7 +111,7 @@ void attention_head_forward(const float* q_base, const float* k_base,
                  kk, head_dim, s, jext);
 
     for (std::int64_t r = 0; r < br; ++r) {
-      const std::int64_t qi = i0 + r;
+      const std::int64_t qi = first + i0 + r;
       float* __restrict s_row = s + r * jext;
       // Masked slots (j > i) are set to exact zero probability without ever
       // being exponentiated — this also erases any NaN they carried, matching
@@ -125,7 +133,7 @@ void attention_head_forward(const float* q_base, const float* k_base,
       const float inv = 1.0f / l;
       for (std::int64_t cdx = 0; cdx <= qi; ++cdx) s_row[cdx] *= inv;
       for (std::int64_t cdx = qi + 1; cdx < jext; ++cdx) s_row[cdx] = 0.0f;
-      lse_row[qi] = row_max + std::log(l);
+      lse_row[i0 + r] = row_max + std::log(l);
     }
 
     // O_i = P · V over the same prefix, then scatter into the strided slice.
@@ -264,30 +272,51 @@ void check_attention_args(std::int64_t batch, std::int64_t time,
 
 }  // namespace
 
-void causal_attention_forward(const float* qkv, std::int64_t batch,
-                              std::int64_t time, std::int64_t embed,
-                              std::int64_t num_heads, float* heads_out,
-                              float* lse) {
+void causal_attention_forward(const float* q, std::int64_t q_stride,
+                              const float* k, const float* v,
+                              std::int64_t kv_stride, std::int64_t batch,
+                              std::int64_t q_rows, std::int64_t time,
+                              std::int64_t embed, std::int64_t num_heads,
+                              float* heads_out, float* lse) {
   check_attention_args(batch, time, embed, num_heads,
                        "causal_attention_forward");
+  CARAML_CHECK_MSG(q_rows > 0 && q_rows <= time,
+                   "causal_attention_forward: queries must be the last "
+                   "1..time positions of the key range");
   const std::int64_t head_dim = embed / num_heads;
-  const std::int64_t qkv_stride = 3 * embed;
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+  // (b, h) pairs per task: at least ~4·kGemmDirectThreshold multiply-adds of
+  // QK^T and P·V, so the short pairs of a decode step run inline instead of
+  // paying for a pool region; training shapes keep one pair per task.
+  const std::int64_t pair_macs = 2 * q_rows * time * head_dim;
+  const auto grain = static_cast<std::size_t>(std::max<std::int64_t>(
+      1, 4 * detail::kGemmDirectThreshold / pair_macs));
 
   caraml::parallel_for_range(
-      0, static_cast<std::size_t>(batch * num_heads), 1,
+      0, static_cast<std::size_t>(batch * num_heads), grain,
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t idx = lo; idx < hi; ++idx) {
           const std::int64_t b = static_cast<std::int64_t>(idx) / num_heads;
           const std::int64_t h = static_cast<std::int64_t>(idx) % num_heads;
-          const float* head_qkv =
-              qkv + b * time * qkv_stride + h * head_dim;
+          const std::int64_t col = h * head_dim;
+          const std::int64_t kv_off = b * time * kv_stride + col;
           attention_head_forward(
-              head_qkv, head_qkv + embed, head_qkv + 2 * embed, time, head_dim,
-              qkv_stride, scale, heads_out + b * time * embed + h * head_dim,
-              embed, lse + static_cast<std::int64_t>(idx) * time);
+              q + b * q_rows * q_stride + col, q_stride, k + kv_off,
+              v + kv_off, kv_stride, q_rows, time, head_dim, scale,
+              heads_out + b * q_rows * embed + col, embed,
+              lse + static_cast<std::int64_t>(idx) * q_rows);
         }
       });
+}
+
+void causal_attention_forward(const float* qkv, std::int64_t batch,
+                              std::int64_t time, std::int64_t embed,
+                              std::int64_t num_heads, float* heads_out,
+                              float* lse) {
+  const std::int64_t stride = 3 * embed;
+  causal_attention_forward(qkv, stride, qkv + embed, qkv + 2 * embed, stride,
+                           batch, time, time, embed, num_heads, heads_out,
+                           lse);
 }
 
 void causal_attention_backward(const float* qkv, const float* heads_out,

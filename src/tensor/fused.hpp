@@ -60,6 +60,23 @@ void causal_attention_forward(const float* qkv, std::int64_t batch,
                               std::int64_t num_heads, float* heads_out,
                               float* lse);
 
+/// The same kernel with separate operands, for queries that are the last
+/// `q_rows` positions of a key range of `time` positions: query row r of a
+/// batch attends keys [0, time - q_rows + r]. q_rows == time is the packed
+/// form above; a decode step passes one query row against a K/V cache.
+///
+/// Per batch b, q holds rows [b*q_rows, (b+1)*q_rows) with row stride
+/// q_stride, k and v hold rows [b*time, (b+1)*time) with row stride
+/// kv_stride; head h is columns [h*hd, (h+1)*hd) of each. heads_out is
+/// [B*q_rows, C], lse [B*H, q_rows]. Pairs whose work is too small to pay
+/// for a pool region (a decode step's) run inline on the caller.
+void causal_attention_forward(const float* q, std::int64_t q_stride,
+                              const float* k, const float* v,
+                              std::int64_t kv_stride, std::int64_t batch,
+                              std::int64_t q_rows, std::int64_t time,
+                              std::int64_t embed, std::int64_t num_heads,
+                              float* heads_out, float* lse);
+
 /// Backward of causal_attention_forward.
 ///
 /// Recomputes score tiles from qkv and lse (no stored attention matrices),

@@ -252,9 +252,16 @@ void apply_epilogue(const GemmEpilogue& ep, float* c, std::int64_t ldc,
   }
 }
 
-// The shared three-level blocked driver (see the header comment). SrcT is
-// float (the original fp32 path, bit-identical) or bf16 bits; all packing
-// widens to fp32 so the one micro-kernel serves both.
+template <typename SrcT>
+void gemm_skinny(bool trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
+                 const SrcT* a, std::int64_t lda, const SrcT* b,
+                 std::int64_t ldb, float* c, std::int64_t ldc,
+                 const GemmEpilogue& epilogue);  // the streaming path below
+
+// The shared GEMM (see the header comment). SrcT is float or bf16 bits;
+// all packing widens to fp32 so the one micro-kernel serves both. Tiny
+// products take the direct loops, skinny ones (few rows of a non-transposed
+// A) stream op(B) once, everything else runs the three-level blocked path.
 template <typename SrcT>
 void gemm_impl(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                std::int64_t k, const SrcT* a, std::int64_t lda, const SrcT* b,
@@ -271,6 +278,10 @@ void gemm_impl(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
   if (m * n * k <= kGemmDirectThreshold) {
     gemm_direct(trans_a, trans_b, m, n, k, a, lda, b, ldb, c, ldc);
     if (!epilogue.empty()) apply_epilogue(epilogue, c, ldc, 0, m, 0, n);
+    return;
+  }
+  if (!trans_a && m <= kGemmSkinnyRows) {
+    gemm_skinny(trans_b, m, n, k, a, lda, b, ldb, c, ldc, epilogue);
     return;
   }
 
@@ -332,7 +343,7 @@ void gemm_impl(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
   }
 }
 
-// --- bf16 skinny streaming path --------------------------------------------
+// --- skinny streaming path -------------------------------------------------
 
 #if defined(__GNUC__) || defined(__clang__)
 
@@ -349,14 +360,30 @@ inline v8f widen8(const std::uint16_t* p) {
   return f;
 }
 
-// k-direction dot product of two bf16 rows, fp32 accumulation. Reductions
-// don't auto-vectorize without -ffast-math, so this is written with two
-// explicit 8-wide partial accumulators; the fold order is fixed, so results
-// are deterministic.
+inline v8f widen8(const float* p) {
+  v8f f;
+  std::memcpy(&f, p, sizeof(f));
+  return f;
+}
+
+// k-direction dot products of two rows, fp32 accumulation, one overload per
+// stored type. Reductions don't auto-vectorize without -ffast-math, so these
+// are written with explicit 8-wide partial accumulators; the fold order is
+// fixed, so results are deterministic.
 #if defined(__AVX2__) && defined(__FMA__)
 
-inline float dot_bf16(const std::uint16_t* __restrict a,
-                      const std::uint16_t* __restrict b, std::int64_t k) {
+inline float hsum(__m256 acc0, __m256 acc1, __m256 acc2, __m256 acc3) {
+  const __m256 accv = _mm256_add_ps(_mm256_add_ps(acc0, acc1),
+                                    _mm256_add_ps(acc2, acc3));
+  __m128 s = _mm_add_ps(_mm256_castps256_ps128(accv),
+                        _mm256_extractf128_ps(accv, 1));
+  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
+  s = _mm_add_ss(s, _mm_movehdup_ps(s));
+  return _mm_cvtss_f32(s);
+}
+
+inline float dot(const std::uint16_t* __restrict a,
+                 const std::uint16_t* __restrict b, std::int64_t k) {
   // Widen by unpacking bf16 halfwords into the *high* 16 bits of each 32-bit
   // lane against zeros — exactly the bf16 -> fp32 widening, one shuffle per
   // 8 elements instead of a vpmovzxwd + vpslld pair. The unpack interleaves
@@ -388,23 +415,36 @@ inline float dot_bf16(const std::uint16_t* __restrict a,
         _mm256_castsi256_ps(_mm256_unpackhi_epi16(zero, av1)),
         _mm256_castsi256_ps(_mm256_unpackhi_epi16(zero, bv1)), acc3);
   }
-  const __m256 accv = _mm256_add_ps(_mm256_add_ps(acc0, acc1),
-                                    _mm256_add_ps(acc2, acc3));
-  __m128 s = _mm_add_ps(_mm256_castps256_ps128(accv),
-                        _mm256_extractf128_ps(accv, 1));
-  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-  s = _mm_add_ss(s, _mm_movehdup_ps(s));
-  float acc = _mm_cvtss_f32(s);
+  float acc = hsum(acc0, acc1, acc2, acc3);
   for (; p < k; ++p) acc += to_f32(a[p]) * to_f32(b[p]);
+  return acc;
+}
+
+inline float dot(const float* __restrict a, const float* __restrict b,
+                 std::int64_t k) {
+  __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
+  __m256 acc2 = _mm256_setzero_ps(), acc3 = _mm256_setzero_ps();
+  std::int64_t p = 0;
+  for (; p + 32 <= k; p += 32) {
+    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + p), _mm256_loadu_ps(b + p),
+                           acc0);
+    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + p + 8),
+                           _mm256_loadu_ps(b + p + 8), acc1);
+    acc2 = _mm256_fmadd_ps(_mm256_loadu_ps(a + p + 16),
+                           _mm256_loadu_ps(b + p + 16), acc2);
+    acc3 = _mm256_fmadd_ps(_mm256_loadu_ps(a + p + 24),
+                           _mm256_loadu_ps(b + p + 24), acc3);
+  }
+  float acc = hsum(acc0, acc1, acc2, acc3);
+  for (; p < k; ++p) acc += a[p] * b[p];
   return acc;
 }
 
 #else
 
-inline float dot_bf16(const std::uint16_t* __restrict a,
-                      const std::uint16_t* __restrict b, std::int64_t k) {
-  // Two explicit 8-wide chains; reductions don't auto-vectorize without
-  // -ffast-math.
+template <typename SrcT>
+inline float dot(const SrcT* __restrict a, const SrcT* __restrict b,
+                 std::int64_t k) {
   v8f acc0{}, acc1{};
   std::int64_t p = 0;
   for (; p + 16 <= k; p += 16) {
@@ -422,8 +462,9 @@ inline float dot_bf16(const std::uint16_t* __restrict a,
 
 #else
 
-inline float dot_bf16(const std::uint16_t* __restrict a,
-                      const std::uint16_t* __restrict b, std::int64_t k) {
+template <typename SrcT>
+inline float dot(const SrcT* __restrict a, const SrcT* __restrict b,
+                 std::int64_t k) {
   float acc = 0.0f;
   for (std::int64_t p = 0; p < k; ++p) acc += to_f32(a[p]) * to_f32(b[p]);
   return acc;
@@ -431,15 +472,19 @@ inline float dot_bf16(const std::uint16_t* __restrict a,
 
 #endif
 
-// Skinny-m bf16 GEMM: stream op(B) in bf16 exactly once, widening on load —
-// no packed panel is written or re-read, which is where the ~2x over fp32
-// comes from on bandwidth-bound decode shapes. Workers own disjoint column
-// ranges, so each C element is produced by exactly one worker in a fixed
-// order: bit-identical across thread counts.
-void gemm_bf16_skinny(bool trans_b, std::int64_t m, std::int64_t n,
-                      std::int64_t k, const std::uint16_t* a, std::int64_t lda,
-                      const std::uint16_t* b, std::int64_t ldb, float* c,
-                      std::int64_t ldc, const GemmEpilogue& epilogue) {
+// Skinny-m GEMM (m <= kGemmSkinnyRows, A not transposed): stream op(B)
+// exactly once, widening on load — no packed panel is written or re-read.
+// With so few rows the packed path's pack-then-reload doubles the traffic
+// that dominates these bandwidth-bound shapes (a decode-row Linear streams
+// its weight once instead of packing it every call). SrcT is float or bf16
+// bits, as in gemm_impl. Workers own disjoint column ranges, so each C
+// element is produced by exactly one worker in a fixed order: bit-identical
+// across thread counts.
+template <typename SrcT>
+void gemm_skinny(bool trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
+                 const SrcT* a, std::int64_t lda, const SrcT* b,
+                 std::int64_t ldb, float* c, std::int64_t ldc,
+                 const GemmEpilogue& epilogue) {
   // Column chunks: at least ~256K multiply-adds per task, and at least a few
   // cache lines wide so adjacent workers don't split lines of B rows.
   std::int64_t grain = std::max<std::int64_t>(
@@ -452,7 +497,7 @@ void gemm_bf16_skinny(bool trans_b, std::int64_t m, std::int64_t n,
         const std::int64_t hi = static_cast<std::int64_t>(hi_s);
         if (!trans_b) {
           for (std::int64_t p = 0; p < k; ++p) {
-            const std::uint16_t* __restrict b_row = b + p * ldb;
+            const SrcT* __restrict b_row = b + p * ldb;
             for (std::int64_t i = 0; i < m; ++i) {
               const float a_val = to_f32(a[i * lda + p]);
               float* __restrict c_row = c + i * ldc;
@@ -464,9 +509,9 @@ void gemm_bf16_skinny(bool trans_b, std::int64_t m, std::int64_t n,
           // op(B) row j is B[j, :]: one contiguous k-dot per output. A is at
           // most kGemmSkinnyRows rows and stays cache-hot across all j.
           for (std::int64_t j = lo; j < hi; ++j) {
-            const std::uint16_t* __restrict b_row = b + j * ldb;
+            const SrcT* __restrict b_row = b + j * ldb;
             for (std::int64_t i = 0; i < m; ++i)
-              c[i * ldc + j] += dot_bf16(a + i * lda, b_row, k);
+              c[i * ldc + j] += dot(a + i * lda, b_row, k);
           }
         }
         if (!epilogue.empty())
@@ -739,8 +784,8 @@ void gemm_i8_direct(bool trans_b, std::int64_t m, std::int64_t n,
   }
 }
 
-// Skinny-m int8 GEMM: stream op(B) once at 1 byte/element (see the bf16
-// skinny path for the traffic argument and determinism invariant). Exact
+// Skinny-m int8 GEMM: stream op(B) once at 1 byte/element (see gemm_skinny
+// for the traffic argument and determinism invariant). Exact
 // int32 accumulation over all of k; the caller bounds k so it cannot
 // overflow.
 void gemm_i8_skinny(bool trans_b, std::int64_t m, std::int64_t n,
@@ -875,11 +920,6 @@ void gemm_bf16(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                std::int64_t k, const std::uint16_t* a, std::int64_t lda,
                const std::uint16_t* b, std::int64_t ldb, float* c,
                std::int64_t ldc, const GemmEpilogue& epilogue) {
-  if (!trans_a && m > 0 && m <= kGemmSkinnyRows && n > 0 && k > 0 &&
-      m * n * k > kGemmDirectThreshold) {
-    gemm_bf16_skinny(trans_b, m, n, k, a, lda, b, ldb, c, ldc, epilogue);
-    return;
-  }
   gemm_impl(trans_a, trans_b, m, n, k, a, lda, b, ldb, c, ldc, epilogue);
 }
 

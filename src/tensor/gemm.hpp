@@ -16,7 +16,9 @@
 // so `__restrict` plain loops auto-vectorize; accumulators live in registers
 // for the whole KC depth, eliminating the k-fold C traffic of the naive
 // kernel. Panels come from the per-thread Workspace, so steady-state
-// training reuses the same slabs every step.
+// training reuses the same slabs every step. Two shapes skip the blocking:
+// tiny products (a direct loop) and skinny ones, a few rows of a
+// non-transposed A (streamed, see kGemmSkinnyRows).
 #pragma once
 
 #include <cstdint>
@@ -87,9 +89,8 @@ void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
 /// micro-kernel and all accumulation run in full precision while A/B memory
 /// traffic is halved. Semantics otherwise identical to the fp32 gemm: C is
 /// fp32, caller-initialized, accumulated into; trans_a && trans_b
-/// unsupported. Skinny shapes (m <= kGemmSkinnyRows) take a widen-on-load
-/// streaming path that reads B exactly once instead of pack-then-reload —
-/// that single pass is where bandwidth-bound decode GEMMs gain ~2x.
+/// unsupported. Skinny shapes take the same streaming path as fp32 (see
+/// kGemmSkinnyRows), widening on load.
 void gemm_bf16(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                std::int64_t k, const std::uint16_t* a, std::int64_t lda,
                const std::uint16_t* b, std::int64_t ldb, float* c,
@@ -120,10 +121,12 @@ void gemm_i8(bool trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
              std::int64_t ldb, float scale_a, const float* scale_b, float* c,
              std::int64_t ldc, const GemmEpilogue& epilogue);
 
-// Row count at or below which the bf16/int8 paths stream op(B) directly
-// (widen/dequant on load, no packing): with so few rows the packed path
-// writes and re-reads an op(B)-sized panel, doubling the traffic that
-// dominates these bandwidth-bound shapes.
+// Row count at or below which every dtype streams op(B) directly (widen or
+// dequant on load, no packing) when A is not transposed and m*n*k is above
+// kGemmDirectThreshold: with so few rows the packed path writes and re-reads
+// an op(B)-sized panel, doubling the traffic that dominates these
+// bandwidth-bound shapes. A decode-row Linear therefore streams its weight
+// once per call instead of packing it.
 inline constexpr std::int64_t kGemmSkinnyRows = 2 * kGemmMR;
 
 }  // namespace caraml::tensor::detail

@@ -490,11 +490,12 @@ TEST(FusedDtype, Int8RejectsMismatchedQuantizationModes) {
 
 // Same subprocess pattern as FusedAttention.DeterministicAcrossThreadCounts:
 // the pool reads CARAML_NUM_THREADS once at static init. Each child computes
-// bf16 packed + skinny and int8 packed + skinny GEMMs and dumps raw bytes;
-// the parent asserts the dumps are byte-identical. The kernels guarantee this
-// by construction: packed paths split only the row dimension (each C element
-// is accumulated by exactly one thread in a fixed KC-slice order), streaming
-// paths give each thread a disjoint column range.
+// bf16 packed + skinny, int8 packed + skinny and fp32 skinny (NT and NN)
+// GEMMs and dumps raw bytes; the parent asserts the dumps are byte-identical.
+// The kernels guarantee this by construction: packed paths split only the
+// row dimension (each C element is accumulated by exactly one thread in a
+// fixed KC-slice order), streaming paths give each thread a disjoint column
+// range.
 TEST(DtypeGemm, DeterministicAcrossThreadCounts) {
   const char* dump_path = std::getenv("CARAML_DTYPE_DUMP");
   if (dump_path != nullptr) {
@@ -524,8 +525,16 @@ TEST(DtypeGemm, DeterministicAcrossThreadCounts) {
     Tensor c4({4, 120});
     detail::gemm_i8(true, 4, 120, 400, qa2.data.data(), 400, qb2.data.data(),
                     400, qa2.scales[0], qb2.scales.data(), c4.data(), 120);
+    // fp32 skinny: m = 8 decode rows against a [300, 500] weight (NT, as a
+    // Linear forward), and an NN shape wide enough for several column chunks.
+    const Tensor a5 = Tensor::randn({8, 500}, rng);
+    const Tensor b5 = Tensor::randn({300, 500}, rng);
+    const Tensor c5 = matmul_nt(a5, b5);
+    const Tensor a6 = Tensor::randn({5, 300}, rng);
+    const Tensor b6 = Tensor::randn({300, 700}, rng);
+    const Tensor c6 = matmul(a6, b6);
     std::ofstream out(dump_path, std::ios::binary);
-    const Tensor* outputs[] = {&c1, &c2, &c3, &c4};
+    const Tensor* outputs[] = {&c1, &c2, &c3, &c4, &c5, &c6};
     for (const Tensor* t : outputs) {
       out.write(reinterpret_cast<const char*>(t->data()),
                 static_cast<std::streamsize>(t->numel() * sizeof(float)));

@@ -182,15 +182,6 @@ TEST(Generate, GreedyIsDeterministic) {
             model.generate({0, 1}, 6, 0.0f, r2));
 }
 
-TEST(Generate, SlidesPastBlockSize) {
-  Rng rng(33);
-  nn::GptModel model(tiny_config(), rng);
-  Rng sample_rng(2);
-  // Generate more tokens than the block size; must not throw.
-  const auto out = model.generate({1}, 20, 0.8f, sample_rng);
-  EXPECT_EQ(out.size(), 21u);
-}
-
 TEST(Generate, LearnsDeterministicCycle) {
   // Train on the repeating sequence 0,1,2,3,... and check greedy decoding
   // continues it.

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "nn/attention.hpp"
 #include "nn/conv.hpp"
@@ -10,6 +14,7 @@
 #include "nn/loss.hpp"
 #include "nn/optim.hpp"
 #include "nn/resnet.hpp"
+#include "tensor/dtype.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -801,6 +806,271 @@ TEST(GptDtype, Int8GenerationMatchesFp32Greedy) {
   model.set_compute_dtype(tensor::DType::kF32);
   Rng gen_rng3(1);
   EXPECT_EQ(model.generate({3, 1, 4}, 8, 0.0f, gen_rng3), ids32);
+}
+
+// --- KV-cached decode vs the forward() oracle ---------------------------------
+//
+// generate() prefills once and then runs one row per token against per-layer
+// K/V caches (GptModel::forward_cached); forward() recomputes the whole
+// context. Both compute the same function and differ only in how rounding
+// falls: a one-row product sums in another order than the blocked GEMM, and
+// the bf16/int8 paths round operands whose last fp32 bits may differ. So the
+// check is an analytic forward-error bound in the style of
+// tests/dtype_test.cpp, not bit-equality:
+//
+//   |cached_j - oracle_j| <= gamma * sum_p |hn_p| |W_jp|
+//                         <= gamma * (max|g| sqrt(C) + ||b||) * ||W_j||
+//
+// where hn is the final LayerNorm's output for the last row (gain g, bias b;
+// its normalized part has unit rms, hence the Cauchy-Schwarz form) and W the
+// LM head. gamma adds up the relative error every step on the path may
+// introduce, to first order (each step's condition number taken as 1):
+//   * eps32 per accumulated term of each dot product: per block the QKV
+//     projection (C), QK^T (head_dim), P·V (up to block_size keys), the output
+//     projection (C) and the MLP (C + 4C), then the LM head (C);
+//   * bf16: one bf16 ulp (2^-8) for each operand the bf16 path rounds
+//     (4 per block, plus the LM head): the two paths may round the same value
+//     to neighbouring bf16 numbers;
+//   * int8: two steps of a 127-level grid (relative to the operand's absmax)
+//     for each MLP product. forward() sets the per-tensor activation grid from
+//     every row of the context, a decode step from its one row, so the two
+//     quantize the same value differently.
+// The fp32 bound is tight enough that most steps compare greedy ids; the
+// bf16 and int8 terms dominate theirs, so there the id check runs only where
+// the oracle's top two are far apart.
+
+struct DecodeShape {
+  std::int64_t vocab, block, layers, heads, embed, prompt, fresh;
+};
+
+// The gpt_decode benchmark shape, and a tiny one whose 3 + 12 tokens slide
+// past its block of 8 (every step after the window fills is a rebuild).
+const DecodeShape kDecodeShapes[] = {{512, 128, 4, 4, 128, 16, 24},
+                                     {32, 8, 2, 2, 16, 3, 12}};
+
+double decode_gamma(const DecodeShape& s, tensor::DType dtype) {
+  constexpr double kEps32 = 1.1920928955078125e-07;  // 2^-23
+  const double depth =
+      static_cast<double>(s.layers) *
+          (7.0 * s.embed + s.embed / s.heads + s.block) +
+      static_cast<double>(s.embed);
+  double gamma = depth * kEps32;
+  if (dtype == tensor::DType::kBf16) gamma += (4.0 * s.layers + 1.0) / 256.0;
+  if (dtype == tensor::DType::kI8) gamma += 2.0 * s.layers * 2.0 / 127.0;
+  return gamma;
+}
+
+// Per-logit bound gamma * (max|g| sqrt(C) + ||b||) * ||W_j|| from the final
+// LayerNorm and LM head parameters (the last three of parameters()).
+std::vector<double> logit_bounds(GptModel& model, const DecodeShape& s,
+                                 double gamma) {
+  const std::vector<Parameter*> params = model.parameters();
+  const Tensor& gain = params[params.size() - 3]->value;
+  const Tensor& shift = params[params.size() - 2]->value;
+  const Tensor& head = params[params.size() - 1]->value;  // [vocab, C]
+  double max_gain = 0.0, shift_sq = 0.0;
+  for (std::int64_t p = 0; p < s.embed; ++p) {
+    max_gain = std::max(max_gain, std::fabs(static_cast<double>(gain[p])));
+    shift_sq += static_cast<double>(shift[p]) * shift[p];
+  }
+  const double hn_norm =
+      max_gain * std::sqrt(static_cast<double>(s.embed)) + std::sqrt(shift_sq);
+  std::vector<double> bounds(static_cast<std::size_t>(s.vocab));
+  for (std::int64_t j = 0; j < s.vocab; ++j) {
+    double w_sq = 0.0;
+    for (std::int64_t p = 0; p < s.embed; ++p) {
+      const double w = head[j * s.embed + p];
+      w_sq += w * w;
+    }
+    bounds[static_cast<std::size_t>(j)] = gamma * hn_norm * std::sqrt(w_sq);
+  }
+  return bounds;
+}
+
+std::int64_t argmax(const float* logits, std::int64_t vocab) {
+  return std::max_element(logits, logits + vocab) - logits;
+}
+
+GptModel decode_model(const DecodeShape& s, tensor::DType dtype, Rng& rng) {
+  GptModelConfig config;
+  config.vocab_size = s.vocab;
+  config.block_size = s.block;
+  config.num_layers = s.layers;
+  config.num_heads = s.heads;
+  config.embed_dim = s.embed;
+  GptModel model(config, rng);
+  model.set_compute_dtype(dtype);
+  return model;
+}
+
+// Greedy generate, then replay its ids through forward_cached exactly as
+// generate steps (prefill, one row per token, rebuild once the window
+// slides) and compare every step's logits with forward() over the same
+// context. Returns how many steps the top-two gap let the greedy check run.
+int check_cached_decode(GptModel& model, const DecodeShape& s,
+                        tensor::DType dtype,
+                        const std::vector<std::int64_t>& prompt,
+                        std::int64_t fresh) {
+  Rng unused(0);
+  const std::vector<std::int64_t> ids =
+      model.generate(prompt, fresh, 0.0f, unused);
+  EXPECT_EQ(ids.size(), prompt.size() + static_cast<std::size_t>(fresh));
+
+  const std::vector<double> bounds =
+      logit_bounds(model, s, decode_gamma(s, dtype));
+  const double max_bound = *std::max_element(bounds.begin(), bounds.end());
+  const auto block = static_cast<std::size_t>(s.block);
+  int gap_checked = 0;
+  for (std::size_t len = prompt.size(); len < ids.size(); ++len) {
+    const std::size_t n = std::min(len, block);
+    const std::vector<std::int64_t> window(ids.begin() + (len - n),
+                                           ids.begin() + len);
+    const std::size_t pos = len - 1;
+    const Tensor cached =
+        len == prompt.size() || pos >= block
+            ? model.forward_cached(window, 0)
+            : model.forward_cached({ids[pos]}, static_cast<std::int64_t>(pos));
+    Tensor tokens({1, static_cast<std::int64_t>(n)});
+    for (std::size_t t = 0; t < n; ++t) {
+      tokens[static_cast<std::int64_t>(t)] = static_cast<float>(window[t]);
+    }
+    const Tensor logits = model.forward(tokens);
+    const float* oracle =
+        logits.data() + static_cast<std::int64_t>(n - 1) * s.vocab;
+    for (std::int64_t j = 0; j < s.vocab; ++j) {
+      EXPECT_LE(std::fabs(static_cast<double>(cached[j]) - oracle[j]),
+                bounds[static_cast<std::size_t>(j)])
+          << "len " << len << " logit " << j;
+    }
+    // The replay runs generate's calls, so its argmax is generate's id.
+    EXPECT_EQ(argmax(cached.data(), s.vocab), ids[len]) << "len " << len;
+    // Where the oracle's top two are further apart than the bounds of both,
+    // no admissible rounding can swap them.
+    const std::int64_t top = argmax(oracle, s.vocab);
+    float second = -std::numeric_limits<float>::infinity();
+    for (std::int64_t j = 0; j < s.vocab; ++j) {
+      if (j != top) second = std::max(second, oracle[j]);
+    }
+    if (oracle[top] - second > 2.0 * max_bound) {
+      ++gap_checked;
+      EXPECT_EQ(ids[len], top) << "len " << len;
+    }
+  }
+  return gap_checked;
+}
+
+class CachedDecode : public ::testing::TestWithParam<tensor::DType> {};
+
+TEST_P(CachedDecode, MatchesForwardOracleWithinAnalyticBound) {
+  const tensor::DType dtype = GetParam();
+  for (const DecodeShape& s : kDecodeShapes) {
+    int gap_checked = 0;
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      SCOPED_TRACE("embed " + std::to_string(s.embed) + " seed " +
+                   std::to_string(seed));
+      Rng rng(seed);
+      GptModel model = decode_model(s, dtype, rng);
+      std::vector<std::int64_t> prompt(static_cast<std::size_t>(s.prompt));
+      for (auto& id : prompt) {
+        id = static_cast<std::int64_t>(rng.next_u64() %
+                                       static_cast<std::uint64_t>(s.vocab));
+      }
+      gap_checked += check_cached_decode(model, s, dtype, prompt, s.fresh);
+    }
+    // Under fp32 the bound is tight enough that most steps compare ids.
+    if (dtype == tensor::DType::kF32) {
+      EXPECT_GT(gap_checked, 10 * s.fresh / 2) << "embed " << s.embed;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Dtypes, CachedDecode,
+    ::testing::Values(tensor::DType::kF32, tensor::DType::kBf16,
+                      tensor::DType::kI8),
+    [](const auto& info) {
+      return std::string(tensor::dtype_name(info.param));
+    });
+
+TEST(Generate, SlidesPastBlockSize) {
+  // More tokens than the block holds, from a one-id prompt and from a prompt
+  // longer than the block: once the window slides every step rebuilds the
+  // caches, and each id still follows forward() over the last block_size ids.
+  const DecodeShape s{8, 8, 1, 2, 16, 0, 0};
+  Rng rng(33);
+  GptModel model = decode_model(s, tensor::DType::kF32, rng);
+  EXPECT_GT(check_cached_decode(model, s, tensor::DType::kF32, {1}, 20), 0);
+  const std::vector<std::int64_t> long_prompt = {1, 2, 3, 4, 5, 6,
+                                                 7, 0, 1, 2, 3};
+  EXPECT_GT(check_cached_decode(model, s, tensor::DType::kF32, long_prompt, 6),
+            0);
+}
+
+TEST(Gpt, ForwardCachedRejectsPositionsBeyondTheCache) {
+  GptModelConfig config;
+  config.block_size = 4;
+  Rng rng(50);
+  GptModel model(config, rng);
+  EXPECT_THROW(model.forward_cached({1, 2, 3, 4, 5}, 0), Error);
+  EXPECT_THROW(model.forward_cached({1}, 4), Error);
+  // Positions [0, pos) must have been cached first.
+  EXPECT_THROW(model.forward_cached({1}, 3), Error);
+  model.forward_cached({1, 2}, 0);
+  EXPECT_THROW(model.forward_cached({3}, 3), Error);
+  model.forward_cached({3}, 2);
+  // Weights may change after backward, and set_compute_dtype changes how
+  // K and V are computed: either empties the cache.
+  model.set_compute_dtype(tensor::DType::kBf16);
+  EXPECT_THROW(model.forward_cached({4}, 3), Error);
+  model.forward_cached({1, 2, 3}, 0);
+  const Tensor tokens({1, 3}, {1.0f, 2.0f, 3.0f});
+  model.train_step(tokens, {2, 3, 0});
+  EXPECT_THROW(model.forward_cached({4}, 3), Error);
+  model.forward_cached({1, 2, 3}, 0);
+  model.forward_cached({4}, 3);
+  CausalSelfAttention uncached(8, 2, rng);
+  EXPECT_THROW(uncached.forward_cached(Tensor({1, 1, 8}), 0), Error);
+}
+
+// --- generation runs without dropout -----------------------------------------
+
+GptModel dropout_model(std::uint64_t seed) {
+  GptModelConfig config;
+  config.vocab_size = 32;
+  config.block_size = 16;
+  config.num_layers = 2;
+  config.num_heads = 2;
+  config.embed_dim = 16;
+  config.dropout = 0.5f;
+  Rng rng(seed);
+  return GptModel(config, rng);
+}
+
+TEST(GenerateDropout, GreedyDecodingRepeats) {
+  GptModel model = dropout_model(51);
+  Rng rng(1);
+  const auto first = model.generate({3, 1, 4, 1}, 10, 0.0f, rng);
+  for (int call = 0; call < 10; ++call) {
+    EXPECT_EQ(model.generate({3, 1, 4, 1}, 10, 0.0f, rng), first)
+        << "call " << call;
+  }
+}
+
+TEST(GenerateDropout, LeavesTheTrainingMaskStreamAlone) {
+  // Two identically built models; one generates first. The next train step
+  // draws the same dropout masks on both, so the losses agree bit for bit.
+  GptModel generated = dropout_model(52);
+  GptModel fresh = dropout_model(52);
+  Rng rng(2);
+  generated.generate({5, 9, 2}, 6, 0.0f, rng);
+  Tensor tokens({2, 8});
+  std::vector<std::int64_t> targets(16);
+  for (std::int64_t i = 0; i < 16; ++i) {
+    tokens[i] = static_cast<float>((3 * i) % 32);
+    targets[static_cast<std::size_t>(i)] = (3 * i + 3) % 32;
+  }
+  EXPECT_EQ(generated.train_step(tokens, targets),
+            fresh.train_step(tokens, targets));
 }
 
 }  // namespace

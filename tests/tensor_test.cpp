@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -409,8 +410,9 @@ TEST(MaxPool, BackwardRoutesToArgmax) {
 //
 // The optimized GEMM packs into MR=6 x NR=16 tiles with MC/KC/NC cache
 // blocking; prime and degenerate dimensions exercise every ragged-edge path
-// (partial tiles in m and n, partial KC slices, m=1, k=1) in both the direct
-// and the blocked/packed regimes.
+// (partial tiles in m and n, partial KC slices, m=1, k=1) in the direct, the
+// blocked/packed and the skinny streaming regimes (m <= kGemmSkinnyRows with
+// A not transposed: the NN and NT variants; TN stays blocked).
 
 void expect_close_rel(const Tensor& got, const Tensor& want,
                       float rel_tol = 1e-4f) {
@@ -457,7 +459,8 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmShape{17, 19, 23},   // primes, direct path
                       GemmShape{6, 16, 16},    // exact single tile
                       GemmShape{97, 101, 103},  // primes, blocked path
-                      GemmShape{1, 300, 200},  // m=1 through the blocked path
+                      GemmShape{1, 300, 200},  // m=1: skinny, TN blocked
+                      GemmShape{12, 257, 70},  // skinny: k and n tails
                       GemmShape{64, 1, 700},   // k=1 through the blocked path
                       GemmShape{129, 257, 65},  // ragged tiles + partial KC
                       GemmShape{5, 2048, 3},   // deep k, tiny m/n
@@ -647,6 +650,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(EpilogueCase{7, 9, 11},     // direct path
                       EpilogueCase{150, 300, 80},  // blocked: 2 KC slices,
                                                    // several row chunks
+                      EpilogueCase{8, 300, 80},    // skinny streaming path
                       EpilogueCase{1, 1, 1}),
     [](const auto& info) {
       return "m" + std::to_string(info.param.m) + "_k" +
@@ -861,6 +865,41 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.time) + "_c" +
              std::to_string(info.param.embed);
     });
+
+TEST(FusedAttention, QueriesMayBeTheLastRowsOfTheKeyRange) {
+  // The decode form: separate Q rows (here copied out of the packed
+  // projection) that are the last q_rows positions of each batch's key
+  // range, K and V read in place. Every query row must equal the full
+  // oracle's row at its position; q_rows == T is the packed training form.
+  const AttentionShape s{2, 3, 70, 24};
+  Rng rng(2026);
+  const Tensor qkv = Tensor::randn({s.batch * s.time, 3 * s.embed}, rng);
+  const Tensor want = naive_causal_attention(qkv, s);
+  for (const std::int64_t q_rows : {std::int64_t{1}, std::int64_t{5},
+                                    s.time}) {
+    Tensor q({s.batch * q_rows, s.embed});
+    for (std::int64_t b = 0; b < s.batch; ++b) {
+      for (std::int64_t r = 0; r < q_rows; ++r) {
+        const float* src =
+            qkv.data() + (b * s.time + s.time - q_rows + r) * 3 * s.embed;
+        std::copy_n(src, s.embed, q.data() + (b * q_rows + r) * s.embed);
+      }
+    }
+    Tensor out({s.batch * q_rows, s.embed});
+    Tensor lse({s.batch * s.heads, q_rows});
+    fused::causal_attention_forward(q.data(), s.embed, qkv.data() + s.embed,
+                                    qkv.data() + 2 * s.embed, 3 * s.embed,
+                                    s.batch, q_rows, s.time, s.embed, s.heads,
+                                    out.data(), lse.data());
+    Tensor want_rows({s.batch * q_rows, s.embed});
+    for (std::int64_t b = 0; b < s.batch; ++b) {
+      std::copy_n(want.data() + (b * s.time + s.time - q_rows) * s.embed,
+                  q_rows * s.embed,
+                  want_rows.data() + b * q_rows * s.embed);
+    }
+    expect_close_rel(out, want_rows, 2e-5f);
+  }
+}
 
 TEST(FusedAttention, MaskedNanIsErasedUnmaskedNanPoisonsItsRow) {
   // A NaN in key row T-1 makes score (i, T-1) NaN for every query row i, but
