@@ -103,9 +103,9 @@ void BM_MatmulInt8(benchmark::State& state) {
   Tensor c({n, n});
   for (auto _ : state) {
     c.fill(0.0f);  // gemm_i8 accumulates into C
-    caraml::tensor::detail::gemm_i8(true, n, n, n, a.data.data(), n,
-                                    b.data.data(), n, a.scales[0],
-                                    b.scales.data(), c.data(), n);
+    caraml::tensor::detail::gemm_i8(n, n, n, a.data.data(), n, b.data.data(),
+                                    n, a.scales[0], b.scales.data(), c.data(),
+                                    n);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
@@ -152,9 +152,9 @@ void BM_MatmulInt8Wide(benchmark::State& state) {
     // part of what the Wide pair measures (it is O(m·k) next to O(m·k·n)).
     const QuantizedTensor a = caraml::tensor::quantize_per_tensor(a_f32);
     c.fill(0.0f);
-    caraml::tensor::detail::gemm_i8(true, 8, n, n, a.data.data(), n,
-                                    w.data.data(), n, a.scales[0],
-                                    w.scales.data(), c.data(), n);
+    caraml::tensor::detail::gemm_i8(8, n, n, a.data.data(), n, w.data.data(),
+                                    n, a.scales[0], w.scales.data(), c.data(),
+                                    n);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * 8 * n * n);

@@ -10,6 +10,7 @@
 #include "telemetry/span.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace caraml::fault {
 
@@ -255,14 +256,7 @@ std::string FaultPlan::fingerprint() const {
                   event.duration_s, event.device, event.severity);
     serialized += buffer;
   }
-  std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a 64
-  for (unsigned char c : serialized) {
-    hash ^= c;
-    hash *= 0x100000001b3ULL;
-  }
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(hash));
-  return buffer;
+  return str::hex16(str::fnv1a64(serialized));
 }
 
 std::string FaultPlan::summary() const {

@@ -1,28 +1,25 @@
 #include "jube/sweep.hpp"
 
-#include <cstdio>
 #include <filesystem>
 
 #include "telemetry/json.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
+#include "util/strings.hpp"
 
 namespace caraml::jube {
 
 namespace {
 
+// The offset basis sweep fingerprints have always started from: the
+// standard FNV-1a 64 basis (14695981039346656037) without its last decimal
+// digit. Cached fingerprints on disk depend on it, so it stays.
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
 /// Hash one field followed by a unit separator, so adjacent fields cannot
 /// alias ("ab" + "c" vs "a" + "bc").
 void feed(std::uint64_t& hash, const std::string& field) {
-  for (const unsigned char c : field) {
-    hash ^= c;
-    hash *= kFnvPrime;
-  }
-  hash ^= 0x1F;
-  hash *= kFnvPrime;
+  hash = str::fnv1a64("\x1f", str::fnv1a64(field, hash));
 }
 
 constexpr int kCacheSchemaVersion = 1;
@@ -87,10 +84,7 @@ std::string workpackage_fingerprint(
     feed(hash, action);
   }
   feed(hash, extra);
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(hash));
-  return buffer;
+  return str::hex16(hash);
 }
 
 void SweepCache::open(const std::string& path) {

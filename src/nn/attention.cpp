@@ -1,13 +1,10 @@
 #include "nn/attention.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
-#include <utility>
 
 #include "tensor/fused.hpp"
 #include "util/error.hpp"
-#include "util/threadpool.hpp"
 
 namespace caraml::nn {
 
@@ -18,45 +15,12 @@ CausalSelfAttention::CausalSelfAttention(std::int64_t embed_dim,
                                          std::int64_t max_positions)
     : embed_dim_(embed_dim),
       num_heads_(num_heads),
-      head_dim_(embed_dim / num_heads),
       max_positions_(max_positions),
       qkv_(std::make_shared<Linear>(embed_dim, 3 * embed_dim, rng)),
       proj_(std::make_shared<Linear>(embed_dim, embed_dim, rng)) {
   CARAML_CHECK_MSG(embed_dim % num_heads == 0,
                    "embed_dim must be divisible by num_heads");
 }
-
-namespace {
-
-// Extract head slice q/k/v [T, hd] for (b, h) from the packed qkv [B*T, 3C].
-Tensor head_slice(const Tensor& qkv, std::int64_t b, std::int64_t h,
-                  std::int64_t which, std::int64_t time, std::int64_t embed,
-                  std::int64_t head_dim) {
-  Tensor out({time, head_dim});
-  const std::int64_t base_col = which * embed + h * head_dim;
-  const std::int64_t row_stride = 3 * embed;
-  for (std::int64_t t = 0; t < time; ++t) {
-    const float* src = qkv.data() + (b * time + t) * row_stride + base_col;
-    float* dst = out.data() + t * head_dim;
-    for (std::int64_t j = 0; j < head_dim; ++j) dst[j] = src[j];
-  }
-  return out;
-}
-
-// Scatter-add a head gradient [T, hd] back into d_qkv [B*T, 3C].
-void head_scatter(Tensor& d_qkv, const Tensor& grad, std::int64_t b,
-                  std::int64_t h, std::int64_t which, std::int64_t time,
-                  std::int64_t embed, std::int64_t head_dim) {
-  const std::int64_t base_col = which * embed + h * head_dim;
-  const std::int64_t row_stride = 3 * embed;
-  for (std::int64_t t = 0; t < time; ++t) {
-    float* dst = d_qkv.data() + (b * time + t) * row_stride + base_col;
-    const float* src = grad.data() + t * head_dim;
-    for (std::int64_t j = 0; j < head_dim; ++j) dst[j] += src[j];
-  }
-}
-
-}  // namespace
 
 void CausalSelfAttention::set_compute_dtype(tensor::DType dtype) {
   CARAML_CHECK_MSG(dtype != tensor::DType::kI8,
@@ -77,67 +41,13 @@ Tensor CausalSelfAttention::forward(const Tensor& input) {
   const Tensor flat = input.reshape({b_count * t_count, c});
   cached_qkv_ = qkv_->forward(flat);  // [B*T, 3C]
 
-  Tensor heads_out({b_count * t_count, c});
-
-  if (engine_ == Engine::kFused) {
-    cached_lse_ = Tensor({b_count * num_heads_, t_count});
-    tensor::fused::causal_attention_forward(cached_qkv_.data(), b_count,
-                                            t_count, c, num_heads_,
-                                            heads_out.data(),
-                                            cached_lse_.data());
-    cached_att_.clear();
-    cached_heads_out_ = std::move(heads_out);
-    Tensor out = proj_->forward(cached_heads_out_);  // [B*T, C]
-    return out.reshape({b_count, t_count, c});
-  }
-
-  // Head-loop engine: dense per-(b, h) composition of the generic kernels.
-  // Pre-size for indexed assignment: the head loop below runs in parallel
-  // and push_back would race.
-  cached_att_.assign(static_cast<std::size_t>(b_count * num_heads_), Tensor());
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-
-  // Each (b, h) pair reads its own qkv slice and writes a disjoint column
-  // block of heads_out, so the flattened head loop parallelizes cleanly; the
-  // tensor kernels it calls run inline on worker threads.
-  caraml::parallel_for_range(
-      0, static_cast<std::size_t>(b_count * num_heads_), 1,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t idx = lo; idx < hi; ++idx) {
-          const std::int64_t b =
-              static_cast<std::int64_t>(idx) / num_heads_;
-          const std::int64_t h = static_cast<std::int64_t>(idx) % num_heads_;
-          const Tensor q =
-              head_slice(cached_qkv_, b, h, 0, t_count, c, head_dim_);
-          const Tensor k =
-              head_slice(cached_qkv_, b, h, 1, t_count, c, head_dim_);
-          const Tensor v =
-              head_slice(cached_qkv_, b, h, 2, t_count, c, head_dim_);
-
-          Tensor scores = tensor::matmul_nt(q, k);  // [T, T]
-          for (std::int64_t i = 0; i < t_count; ++i) {
-            for (std::int64_t j = 0; j < t_count; ++j) {
-              if (j > i) {
-                scores[i * t_count + j] = -1e30f;  // causal mask
-              } else {
-                scores[i * t_count + j] *= scale;
-              }
-            }
-          }
-          Tensor att = tensor::softmax_rows(scores);  // [T, T]
-          Tensor y = tensor::matmul(att, v);          // [T, hd]
-          cached_att_[idx] = std::move(att);
-
-          for (std::int64_t t = 0; t < t_count; ++t) {
-            float* dst =
-                heads_out.data() + (b * t_count + t) * c + h * head_dim_;
-            const float* src = y.data() + t * head_dim_;
-            for (std::int64_t j = 0; j < head_dim_; ++j) dst[j] = src[j];
-          }
-        }
-      });
-
-  Tensor out = proj_->forward(heads_out);  // [B*T, C]
+  cached_heads_out_ = Tensor({b_count * t_count, c});
+  cached_lse_ = Tensor({b_count * num_heads_, t_count});
+  tensor::fused::causal_attention_forward(cached_qkv_.data(), b_count, t_count,
+                                          c, num_heads_,
+                                          cached_heads_out_.data(),
+                                          cached_lse_.data());
+  Tensor out = proj_->forward(cached_heads_out_);  // [B*T, C]
   return out.reshape({b_count, t_count, c});
 }
 
@@ -187,74 +97,9 @@ Tensor CausalSelfAttention::backward(const Tensor& grad_output) {
   const Tensor d_heads = proj_->backward(g_flat);  // [B*T, C]
 
   Tensor d_qkv({b_count * t_count, 3 * c});  // zero-initialized
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-
-  if (engine_ == Engine::kFused) {
-    CARAML_CHECK_MSG(!cached_lse_.empty(),
-                     "fused attention backward requires a fused forward");
-    tensor::fused::causal_attention_backward(
-        cached_qkv_.data(), cached_heads_out_.data(), d_heads.data(),
-        cached_lse_.data(), b_count, t_count, c, num_heads_, d_qkv.data());
-    Tensor d_input = qkv_->backward(d_qkv);  // [B*T, C]
-    return d_input.reshape({b_count, t_count, c});
-  }
-
-  CARAML_CHECK_MSG(
-      cached_att_.size() == static_cast<std::size_t>(b_count * num_heads_),
-      "head-loop attention backward requires a head-loop forward");
-
-  // Parallel over (b, h): each pair scatters into disjoint (row, column)
-  // blocks of d_qkv, so no accumulation races.
-  caraml::parallel_for_range(
-      0, static_cast<std::size_t>(b_count * num_heads_), 1,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t idx = lo; idx < hi; ++idx) {
-          const std::int64_t b =
-              static_cast<std::int64_t>(idx) / num_heads_;
-          const std::int64_t h = static_cast<std::int64_t>(idx) % num_heads_;
-          const Tensor q =
-              head_slice(cached_qkv_, b, h, 0, t_count, c, head_dim_);
-          const Tensor k =
-              head_slice(cached_qkv_, b, h, 1, t_count, c, head_dim_);
-          const Tensor v =
-              head_slice(cached_qkv_, b, h, 2, t_count, c, head_dim_);
-          const Tensor& att = cached_att_[idx];
-
-          // dY per head [T, hd] from d_heads columns.
-          Tensor dy({t_count, head_dim_});
-          for (std::int64_t t = 0; t < t_count; ++t) {
-            const float* src =
-                d_heads.data() + (b * t_count + t) * c + h * head_dim_;
-            float* dst = dy.data() + t * head_dim_;
-            for (std::int64_t j = 0; j < head_dim_; ++j) dst[j] = src[j];
-          }
-
-          // y = att @ v  =>  datt = dy @ v^T ; dv = att^T @ dy
-          Tensor datt = tensor::matmul_nt(dy, v);  // [T, T]
-          Tensor dv = tensor::matmul_tn(att, dy);  // [T, hd]
-
-          // Softmax backward (masked entries have att == 0 so they drop out).
-          Tensor dscores = tensor::softmax_rows_backward(att, datt);  // [T, T]
-          // Apply mask + scale: masked entries contribute no gradient.
-          for (std::int64_t i = 0; i < t_count; ++i) {
-            for (std::int64_t j = 0; j < t_count; ++j) {
-              if (j > i) {
-                dscores[i * t_count + j] = 0.0f;
-              } else {
-                dscores[i * t_count + j] *= scale;
-              }
-            }
-          }
-          // scores = q @ k^T  =>  dq = dscores @ k ; dk = dscores^T @ q
-          Tensor dq = tensor::matmul(dscores, k);
-          Tensor dk = tensor::matmul_tn(dscores, q);
-
-          head_scatter(d_qkv, dq, b, h, 0, t_count, c, head_dim_);
-          head_scatter(d_qkv, dk, b, h, 1, t_count, c, head_dim_);
-          head_scatter(d_qkv, dv, b, h, 2, t_count, c, head_dim_);
-        }
-      });
-
+  tensor::fused::causal_attention_backward(
+      cached_qkv_.data(), cached_heads_out_.data(), d_heads.data(),
+      cached_lse_.data(), b_count, t_count, c, num_heads_, d_qkv.data());
   Tensor d_input = qkv_->backward(d_qkv);  // [B*T, C]
   return d_input.reshape({b_count, t_count, c});
 }

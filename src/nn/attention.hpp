@@ -2,15 +2,13 @@
 // paper highlights (quadratic in sequence length, matrix products of token
 // representations).
 //
-// Two interchangeable engines compute the attention itself:
-//
-//   kFused (default) — flash-attention-style streaming kernel
-//     (tensor/fused.hpp): tiled QK^T → mask → online softmax → ·V in one
-//     pass, no [T, T] materialization; backward recomputes attention tiles
-//     from the cached QKV + per-row log-sum-exp, so the module's cache is
-//     O(B·T·C + B·H·T) instead of the head-loop's O(B·H·T²).
-//   kHeadLoop — the original per-(b, h) composition of matmul / softmax
-//     kernels, kept as the equivalence oracle for tests and benchmarks.
+// The attention itself runs the flash-attention-style streaming kernel
+// (tensor/fused.hpp): tiled QK^T → mask → exact softmax → ·V in one pass, no
+// [T, T] materialization; backward recomputes attention tiles from the
+// cached QKV + per-row log-sum-exp, so the module's cache is
+// O(B·T·C + B·H·T) rather than a dense head loop's O(B·H·T²). Its test
+// oracle is FusedAttentionEquivalence (tests/tensor_test.cpp); the dense head
+// loop survives only as a benchmark twin (BM_AttentionHeadLoop*).
 //
 // Inference can instead keep K and V per position (forward_cached): a decode
 // step then projects one new row and attends it over the cache with the
@@ -26,8 +24,6 @@ namespace caraml::nn {
 
 class CausalSelfAttention : public Module {
  public:
-  enum class Engine { kFused, kHeadLoop };
-
   /// max_positions sizes the K/V cache of forward_cached(): the longest
   /// sequence it serves (GPT's block_size). 0 leaves the module without one.
   CausalSelfAttention(std::int64_t embed_dim, std::int64_t num_heads,
@@ -52,12 +48,6 @@ class CausalSelfAttention : public Module {
 
   std::int64_t num_heads() const { return num_heads_; }
 
-  /// Select the attention engine (affects subsequent forward/backward calls;
-  /// a backward must use the same engine as the forward that produced its
-  /// caches).
-  void set_engine(Engine engine) { engine_ = engine; }
-  Engine engine() const { return engine_; }
-
   /// Run the QKV and output projections in the given precision (kF32 or
   /// kBf16; the attention core itself — QK^T, softmax, ·V — stays fp32).
   /// kI8 is rejected: the projections sit on the training path.
@@ -66,9 +56,7 @@ class CausalSelfAttention : public Module {
  private:
   std::int64_t embed_dim_;
   std::int64_t num_heads_;
-  std::int64_t head_dim_;
   std::int64_t max_positions_;
-  Engine engine_ = Engine::kFused;
   std::shared_ptr<Linear> qkv_;
   std::shared_ptr<Linear> proj_;
 
@@ -76,9 +64,8 @@ class CausalSelfAttention : public Module {
   std::int64_t batch_ = 0;
   std::int64_t time_ = 0;
   Tensor cached_qkv_;        // [B*T, 3C]
-  Tensor cached_heads_out_;  // [B*T, C]   (fused engine)
-  Tensor cached_lse_;        // [B*H, T]   (fused engine)
-  std::vector<Tensor> cached_att_;  // per (b, h): [T, T] (head-loop engine)
+  Tensor cached_heads_out_;  // [B*T, C]
+  Tensor cached_lse_;        // [B*H, T]
 
   // forward_cached() state: K and V of batch 1, [max_positions, C] each,
   // valid for positions [0, cached_positions_).

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 #include <utility>
+#include <vector>
 
 #include "tensor/fused.hpp"
 #include "util/error.hpp"
@@ -18,6 +18,37 @@ namespace {
 std::int64_t row_grain(std::int64_t cols) {
   return std::max<std::int64_t>(1, (1 << 14) / std::max<std::int64_t>(1, cols));
 }
+
+// Per-chunk partial sums of a parallel_for_range reduction over `count`
+// rows. parallel_for_range keeps chunk boundaries grain-aligned, so
+// lo / grain names a chunk's slot; merging the claimed slots in slot order
+// makes the result independent of which chunk finishes first.
+class ChunkPartials {
+ public:
+  ChunkPartials(std::size_t count, std::size_t grain, std::int64_t width)
+      : grain_(grain), width_(width), slots_((count + grain - 1) / grain) {}
+
+  /// The zeroed [width] partial of the chunk that starts at row `lo`.
+  float* slot(std::size_t lo) {
+    std::vector<float>& s = slots_[lo / grain_];
+    s.assign(static_cast<std::size_t>(width_), 0.0f);
+    return s.data();
+  }
+
+  /// Call merge(partial) for each claimed slot, in chunk order.
+  template <typename F>
+  void for_each(F&& merge) const {
+    for (const std::vector<float>& s : slots_) {
+      if (!s.empty()) merge(s.data());
+    }
+  }
+
+ private:
+  std::size_t grain_;
+  std::int64_t width_;
+  std::vector<std::vector<float>> slots_;
+};
+
 }  // namespace
 
 // --- Linear ------------------------------------------------------------------
@@ -86,31 +117,26 @@ Tensor Linear::run(const Tensor& input, bool train) {
   CARAML_CHECK_MSG(input.rank() == 2, "Linear expects [N, in]");
   CARAML_CHECK_MSG(input.dim(1) == weight_.value.dim(1),
                    "Linear input feature mismatch");
+  const bool int8 = compute_dtype_ == tensor::DType::kI8;
+  CARAML_CHECK_MSG(!(int8 && epilogue_ == Epilogue::kDropout),
+                   "int8 Linear is inference-only; dropout unsupported");
   const Tensor* bias = has_bias_ ? &bias_.value : nullptr;
-  const bool gelu = epilogue_ == Epilogue::kGelu;
-  const bool dropout = train && epilogue_ == Epilogue::kDropout;
-  Tensor* pre = train ? &cached_pre_ : nullptr;  // kGelu: what backward needs
+  tensor::fused::LinearEpilogue epilogue;
+  epilogue.gelu = epilogue_ == Epilogue::kGelu;
+  if (train && epilogue.gelu) epilogue.pre = &cached_pre_;  // for backward
+  if (train && epilogue_ == Epilogue::kDropout)
+    epilogue.dropout_mask = &draw_dropout_mask(input.dim(0));
   if (compute_dtype_ == tensor::DType::kBf16) {
     // Re-round the fp32 master weights every forward (the optimizer moves
     // them between steps); backward reuses the same rounded copies for
     // dW and dX so forward and backward see one consistent bf16 snapshot.
     weight_bf16_ = tensor::Bf16Tensor::from_float(weight_.value);
     tensor::Bf16Tensor x = tensor::Bf16Tensor::from_float(input);
-    Tensor out;
-    if (gelu) {
-      out = tensor::fused::linear_gelu_bf16(x, weight_bf16_, bias, pre);
-    } else if (dropout) {
-      out = tensor::fused::linear_dropout_bf16(x, weight_bf16_, bias,
-                                               draw_dropout_mask(input.dim(0)));
-    } else {
-      out = tensor::fused::linear_bf16(x, weight_bf16_, bias);
-    }
+    Tensor out = tensor::fused::linear(x, weight_bf16_, bias, epilogue);
     if (train) cached_input_bf16_ = std::move(x);
     return out;
   }
-  if (compute_dtype_ == tensor::DType::kI8) {
-    CARAML_CHECK_MSG(epilogue_ != Epilogue::kDropout,
-                     "int8 Linear is inference-only; dropout unsupported");
+  if (int8) {
     if (!weight_i8_valid_) {
       weight_i8_ = tensor::quantize_per_channel_rows(weight_.value);
       weight_i8_valid_ = true;
@@ -119,18 +145,11 @@ Tensor Linear::run(const Tensor& input, bool train) {
         calibrated_absmax_ > 0.0f
             ? calibrated_absmax_ / 127.0f
             : tensor::absmax_scale(input.data(), input.numel());
-    const tensor::QuantizedTensor qx =
-        tensor::quantize_with_scale(input, scale);
-    if (gelu) return tensor::fused::linear_gelu_i8(qx, weight_i8_, bias, pre);
-    return tensor::fused::linear_i8(qx, weight_i8_, bias);
+    return tensor::fused::linear(tensor::quantize_with_scale(input, scale),
+                                 weight_i8_, bias, epilogue);
   }
   if (train) cached_input_ = input;
-  if (gelu) return tensor::fused::linear_gelu(input, weight_.value, bias, pre);
-  if (dropout) {
-    return tensor::fused::linear_dropout(input, weight_.value, bias,
-                                         draw_dropout_mask(input.dim(0)));
-  }
-  return tensor::fused::linear(input, weight_.value, bias);
+  return tensor::fused::linear(input, weight_.value, bias, epilogue);
 }
 
 Tensor Linear::backward(const Tensor& grad_output) {
@@ -168,21 +187,22 @@ Tensor Linear::backward(const Tensor& grad_output) {
   if (has_bias_) {
     const std::int64_t n = g.dim(0), c = g.dim(1);
     const float* __restrict pg = g.data();
-    float* __restrict pbg = bias_.grad.data();
-    std::mutex merge_mutex;
+    const std::size_t grain = static_cast<std::size_t>(row_grain(c));
+    ChunkPartials partials(static_cast<std::size_t>(n), grain, c);
     parallel_for_range(
-        0, static_cast<std::size_t>(n), static_cast<std::size_t>(row_grain(c)),
-        [&, pg, pbg, c](std::size_t lo, std::size_t hi) {
-          std::vector<float> local(static_cast<std::size_t>(c), 0.0f);
-          float* __restrict pl = local.data();
+        0, static_cast<std::size_t>(n), grain,
+        [&, pg, c](std::size_t lo, std::size_t hi) {
+          float* __restrict pl = partials.slot(lo);
           for (std::size_t i = lo; i < hi; ++i) {
             const float* __restrict row =
                 pg + static_cast<std::int64_t>(i) * c;
             for (std::int64_t j = 0; j < c; ++j) pl[j] += row[j];
           }
-          std::lock_guard<std::mutex> lock(merge_mutex);
-          for (std::int64_t j = 0; j < c; ++j) pbg[j] += pl[j];
         });
+    float* __restrict pbg = bias_.grad.data();
+    partials.for_each([&](const float* pl) {
+      for (std::int64_t j = 0; j < c; ++j) pbg[j] += pl[j];
+    });
   }
   // dX [N,in] = g [N,out] * W [out,in]
   if (bf16) return tensor::matmul_bf16(g_bf16, weight_bf16_);
@@ -291,20 +311,16 @@ Tensor LayerNorm::backward(const Tensor& grad_output) {
   const float* __restrict pxn = cached_normalized_.data();
   const float* __restrict pinv = cached_inv_std_.data();
   const float* __restrict pgamma = gamma_.value.data();
-  float* __restrict pgamma_grad = gamma_.grad.data();
-  float* __restrict pbeta_grad = beta_.grad.data();
   float* __restrict pdx = dinput.data();
-  std::mutex merge_mutex;
+  // One slot per chunk holds [dgamma | dbeta]: rows are disjoint across
+  // chunks, but gamma and beta are not.
+  const std::size_t grain = static_cast<std::size_t>(row_grain(c));
+  ChunkPartials partials(static_cast<std::size_t>(n), grain, 2 * c);
   parallel_for_range(
-      0, static_cast<std::size_t>(n), static_cast<std::size_t>(row_grain(c)),
-      [&, pg, pxn, pinv, pgamma, pgamma_grad, pbeta_grad, pdx,
-       c](std::size_t lo, std::size_t hi) {
-        // Parameter gradients accumulate into chunk-local buffers, merged
-        // under a mutex at the end — rows are disjoint but gamma/beta are not.
-        std::vector<float> dgamma(static_cast<std::size_t>(c), 0.0f);
-        std::vector<float> dbeta(static_cast<std::size_t>(c), 0.0f);
-        float* __restrict pdg = dgamma.data();
-        float* __restrict pdb = dbeta.data();
+      0, static_cast<std::size_t>(n), grain,
+      [&, pg, pxn, pinv, pgamma, pdx, c](std::size_t lo, std::size_t hi) {
+        float* __restrict pdg = partials.slot(lo);
+        float* __restrict pdb = pdg + c;
         for (std::size_t i = lo; i < hi; ++i) {
           const float inv_std = pinv[i];
           const float* __restrict g = pg + static_cast<std::int64_t>(i) * c;
@@ -328,12 +344,15 @@ Tensor LayerNorm::backward(const Tensor& grad_output) {
                 inv_std * (dn - mean_dnorm - xn[j] * mean_dnorm_xn));
           }
         }
-        std::lock_guard<std::mutex> lock(merge_mutex);
-        for (std::int64_t j = 0; j < c; ++j) {
-          pgamma_grad[j] += pdg[j];
-          pbeta_grad[j] += pdb[j];
-        }
       });
+  float* __restrict pgamma_grad = gamma_.grad.data();
+  float* __restrict pbeta_grad = beta_.grad.data();
+  partials.for_each([&](const float* slot) {
+    for (std::int64_t j = 0; j < c; ++j) {
+      pgamma_grad[j] += slot[j];
+      pbeta_grad[j] += slot[c + j];
+    }
+  });
   return dinput;
 }
 

@@ -81,14 +81,18 @@ void Communicator::all_reduce_sum(Tensor& value) {
   group_->collect_pointer(rank_, &value);
   barrier();
   Tensor sum(value.shape());
-  for (int r = 0; r < size(); ++r) {
+  bool shapes_match = true;
+  for (int r = 0; r < size() && shapes_match; ++r) {
     const auto* contribution =
         static_cast<const Tensor*>(group_->pointer_of(r));
-    CARAML_CHECK_MSG(contribution->same_shape(value),
-                     "all_reduce shape mismatch across ranks");
-    tensor::add_inplace(sum, *contribution);
+    shapes_match = contribution->same_shape(value);
+    if (shapes_match) tensor::add_inplace(sum, *contribution);
   }
-  barrier();  // all reads done before anyone overwrites
+  barrier();  // all reads done before anyone overwrites or unwinds
+  // Throw only now: a rank that unwound during the reads would free a tensor
+  // the others still read. Every rank reaches the same verdict, since if not
+  // all shapes are equal, each rank sees one unlike its own.
+  CARAML_CHECK_MSG(shapes_match, "all_reduce shape mismatch across ranks");
   value = std::move(sum);
   barrier();  // all writes done before pointers are reused
 }

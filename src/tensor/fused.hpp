@@ -26,9 +26,9 @@
 //    fixed sequential order, so outputs are byte-identical for any
 //    thread-pool size.
 //
-// 2. Fused linear epilogues: bias, bias+GELU and bias+dropout applied during
-//    the GEMM C write-back (see detail::GemmEpilogue) instead of as separate
-//    passes over the output.
+// 2. The fused linear: bias, GELU and dropout applied during the GEMM C
+//    write-back (see detail::GemmEpilogue) instead of as separate passes over
+//    the output, for fp32, bf16 and int8 operands.
 #pragma once
 
 #include "tensor/dtype.hpp"
@@ -89,39 +89,33 @@ void causal_attention_backward(const float* qkv, const float* heads_out,
                                std::int64_t embed, std::int64_t num_heads,
                                float* d_qkv);
 
-/// out = x · W^T + b, bias added during the GEMM write-back.
-/// x [N, in], w [out, in], bias [out] (nullptr for no bias).
-Tensor linear(const Tensor& x, const Tensor& w, const Tensor* bias);
+/// What fused::linear applies to x · W^T + b during the GEMM write-back (see
+/// detail::GemmEpilogue for the order). The default applies nothing.
+struct LinearEpilogue {
+  /// tanh-GELU after the bias.
+  bool gelu = false;
+  /// When non-null, receives the post-bias value [N, out]: what
+  /// gelu_backward consumes.
+  Tensor* pre = nullptr;
+  /// When non-null, a scaled keep-mask [N, out] multiplied last
+  /// (inverted-dropout convention: kept elements hold 1/(1-p), dropped 0).
+  const Tensor* dropout_mask = nullptr;
+};
 
-/// out = gelu(x · W^T + b). When `pre` is non-null it receives the post-bias
-/// pre-activation (what gelu_backward consumes), captured during the same
-/// write-back.
-Tensor linear_gelu(const Tensor& x, const Tensor& w, const Tensor* bias,
-                   Tensor* pre);
-
-/// out = (x · W^T + b) ∘ mask, with `mask` a scaled keep-mask shaped [N, out]
-/// (inverted-dropout convention: kept elements hold 1/(1-p), dropped 0).
-Tensor linear_dropout(const Tensor& x, const Tensor& w, const Tensor* bias,
-                      const Tensor& mask);
-
-/// bf16 variants of the fused linears: x and w are stored bf16, the GEMM
-/// widens while packing and accumulates fp32, and the bias/GELU/dropout
-/// epilogue applies to the fp32 result exactly as in the fp32 path. The bias
-/// and mask stay fp32 (they are O(N) next to the O(N·C) GEMM traffic).
-Tensor linear_bf16(const Bf16Tensor& x, const Bf16Tensor& w,
-                   const Tensor* bias);
-Tensor linear_gelu_bf16(const Bf16Tensor& x, const Bf16Tensor& w,
-                        const Tensor* bias, Tensor* pre);
-Tensor linear_dropout_bf16(const Bf16Tensor& x, const Bf16Tensor& w,
-                           const Tensor* bias, const Tensor& mask);
-
-/// int8 inference linears: x per-tensor quantized, w per-channel quantized
-/// ([out, in], one scale per output row). Integer accumulation with fp32
-/// dequant fused into the same epilogue write-back, so bias/GELU compose
-/// unchanged on the dequantized values.
-Tensor linear_i8(const QuantizedTensor& x, const QuantizedTensor& w,
-                 const Tensor* bias);
-Tensor linear_gelu_i8(const QuantizedTensor& x, const QuantizedTensor& w,
-                      const Tensor* bias, Tensor* pre);
+/// out = epilogue(x · W^T + b), with x [N, in], w [out, in] and bias [out]
+/// (nullptr for no bias). One overload per operand type:
+///   - fp32;
+///   - bf16: x and w stored bf16, widened on load, fp32 accumulation;
+///   - int8 inference: x per-tensor quantized, w per-channel quantized (one
+///     scale per output row), integer accumulation with the fp32 dequant
+///     fused into the write-back.
+/// In every case the bias, the epilogue and their operands are fp32 and
+/// apply to the fp32 result, exactly as in the fp32 path.
+Tensor linear(const Tensor& x, const Tensor& w, const Tensor* bias,
+              const LinearEpilogue& epilogue = {});
+Tensor linear(const Bf16Tensor& x, const Bf16Tensor& w, const Tensor* bias,
+              const LinearEpilogue& epilogue = {});
+Tensor linear(const QuantizedTensor& x, const QuantizedTensor& w,
+              const Tensor* bias, const LinearEpilogue& epilogue = {});
 
 }  // namespace caraml::tensor::fused

@@ -1,8 +1,12 @@
-// Blocked, packed, register-tiled single-precision GEMM.
+// Blocked, packed, register-tiled GEMM over fp32, bf16 and int8 operands.
 //
-// One kernel powers matmul / matmul_nt / matmul_tn: C += op(A)·op(B) with
-// row-major operands and independent transpose flags. The implementation is
-// the classic three-level cache blocking (BLIS/GotoBLAS structure):
+// One kernel powers matmul / matmul_nt / matmul_tn and their bf16 and int8
+// twins: C += op(A)·op(B) with row-major operands, independent transpose
+// flags and an fp32 C. Each driver below is written once, over an
+// element-traits type that supplies the stored, panel and accumulator types,
+// the micro-kernel, the k-dot and the write-back (identity for fp32/bf16,
+// per-channel dequant for int8). The blocked driver is the classic
+// three-level cache blocking (BLIS/GotoBLAS structure):
 //
 //   for each KC slice of k:            (B slice stays in L2)
 //     for each NC slice of n:
@@ -38,17 +42,6 @@ inline constexpr std::int64_t kGemmNC = 1024;  // multiple of kGemmNR
 // worth it and a direct register-accumulating loop runs instead.
 inline constexpr std::int64_t kGemmDirectThreshold = 32 * 32 * 32;
 
-/// C[m,n] += op(A)·op(B).
-///
-/// op(A) is A[m,k] when !trans_a, else A is stored [k,m] and used transposed;
-/// op(B) is B[k,n] when !trans_b, else B is stored [n,k] and used transposed.
-/// lda/ldb/ldc are row strides of the *stored* matrices. C must be
-/// initialized by the caller (the kernel accumulates). trans_a && trans_b is
-/// unsupported (no caller needs it).
-void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
-          std::int64_t k, const float* a, std::int64_t lda, const float* b,
-          std::int64_t ldb, float* c, std::int64_t ldc);
-
 /// Elementwise post-processing fused into the GEMM write-back.
 ///
 /// Each C element is transformed exactly once, immediately after its final
@@ -77,52 +70,48 @@ struct GemmEpilogue {
   }
 };
 
-/// GEMM with a fused epilogue (see GemmEpilogue). C must still be
-/// caller-initialized: the epilogue transforms the fully accumulated values.
+/// C[m,n] += op(A)·op(B), then the epilogue (none by default).
+///
+/// op(A) is A[m,k] when !trans_a, else A is stored [k,m] and used transposed;
+/// op(B) is B[k,n] when !trans_b, else B is stored [n,k] and used transposed.
+/// lda/ldb/ldc are row strides of the *stored* matrices. C must be
+/// initialized by the caller (the kernel accumulates; the epilogue transforms
+/// the fully accumulated values). trans_a && trans_b is unsupported (no
+/// caller needs it).
 void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           std::int64_t k, const float* a, std::int64_t lda, const float* b,
           std::int64_t ldb, float* c, std::int64_t ldc,
-          const GemmEpilogue& epilogue);
+          const GemmEpilogue& epilogue = {});
 
 /// bf16 GEMM: A and B are stored as bf16 (the top 16 bits of a binary32, see
-/// dtype.hpp); the pack routines widen panels to fp32 so the fp32
+/// dtype.hpp). They widen to fp32 on packing or load, so the fp32
 /// micro-kernel and all accumulation run in full precision while A/B memory
-/// traffic is halved. Semantics otherwise identical to the fp32 gemm: C is
-/// fp32, caller-initialized, accumulated into; trans_a && trans_b
-/// unsupported. Skinny shapes take the same streaming path as fp32 (see
-/// kGemmSkinnyRows), widening on load.
+/// traffic is halved. Semantics otherwise identical to the fp32 gemm.
 void gemm_bf16(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                std::int64_t k, const std::uint16_t* a, std::int64_t lda,
                const std::uint16_t* b, std::int64_t ldb, float* c,
-               std::int64_t ldc);
-void gemm_bf16(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
-               std::int64_t k, const std::uint16_t* a, std::int64_t lda,
-               const std::uint16_t* b, std::int64_t ldb, float* c,
-               std::int64_t ldc, const GemmEpilogue& epilogue);
+               std::int64_t ldc, const GemmEpilogue& epilogue = {});
 
 /// int8 inference GEMM with fused dequantization:
 ///
-///   C[i,j] += (float(sum_p qa[i,p] * qb(p,j)) * scale_a) * scale_b[j]
+///   C[i,j] += (float(sum_p qa[i,p] * qb[j,p]) * scale_a) * scale_b[j]
 ///
-/// qa/qb are symmetric int8 quantized operands (see quant.hpp): scale_a is
-/// the per-tensor activation scale, scale_b the per-output-channel weight
-/// scales ([n]; pass a broadcast array for per-tensor weights). The integer
-/// product accumulates exactly in int32 per KC slice (safe for k <= 2^17:
-/// pair sums of 127*127 products stay far below 2^31), then dequantizes into
-/// fp32 C, so across-slice accumulation is fp32 just like the other paths.
-/// The epilogue composes unchanged on the dequantized values. A is never
-/// transposed (activations are row-major in every inference call site).
-void gemm_i8(bool trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
+/// qa [m,k] and qb [n,k] are symmetric int8 quantized operands (see
+/// quant.hpp): B is always used transposed, as a Linear weight [out, in] is
+/// stored, and A never is. scale_a is the per-tensor activation scale,
+/// scale_b the per-output-channel weight scales ([n]; pass a broadcast array
+/// for per-tensor weights). The integer product accumulates exactly in int32
+/// per KC slice (or over all of k on the skinny path, for k <= 2^17), then
+/// dequantizes into fp32 C, so across-slice accumulation is fp32 just like
+/// the other paths. The epilogue composes unchanged on the dequantized
+/// values.
+void gemm_i8(std::int64_t m, std::int64_t n, std::int64_t k,
              const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
              std::int64_t ldb, float scale_a, const float* scale_b, float* c,
-             std::int64_t ldc);
-void gemm_i8(bool trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
-             const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
-             std::int64_t ldb, float scale_a, const float* scale_b, float* c,
-             std::int64_t ldc, const GemmEpilogue& epilogue);
+             std::int64_t ldc, const GemmEpilogue& epilogue = {});
 
-// Row count at or below which every dtype streams op(B) directly (widen or
-// dequant on load, no packing) when A is not transposed and m*n*k is above
+// Row count at or below which every dtype streams op(B) directly (widen on
+// load, no packing) when A is not transposed and m*n*k is above
 // kGemmDirectThreshold: with so few rows the packed path writes and re-reads
 // an op(B)-sized panel, doubling the traffic that dominates these
 // bandwidth-bound shapes. A decode-row Linear therefore streams its weight

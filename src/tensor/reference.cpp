@@ -58,7 +58,7 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-Tensor matmul_i8(bool trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
+Tensor matmul_i8(std::int64_t m, std::int64_t n, std::int64_t k,
                  const std::int8_t* a, const std::int8_t* b, float scale_a,
                  const float* scale_b) {
   Tensor c({m, n});
@@ -66,8 +66,7 @@ Tensor matmul_i8(bool trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
     for (std::int64_t j = 0; j < n; ++j) {
       std::int64_t acc = 0;
       for (std::int64_t p = 0; p < k; ++p) {
-        const std::int64_t bv = trans_b ? b[j * k + p] : b[p * n + j];
-        acc += static_cast<std::int64_t>(a[i * k + p]) * bv;
+        acc += static_cast<std::int64_t>(a[i * k + p]) * b[j * k + p];
       }
       c[i * n + j] = static_cast<float>(static_cast<double>(scale_a) *
                                         scale_b[j] *

@@ -20,9 +20,9 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b);
 
 /// Dequantized symmetric int8 GEMM oracle for the gemm_i8 kernel:
 /// C[i,j] = float(scale_a * scale_b[j] * acc) with acc the exact int32 (held
-/// in int64 here) sum over qa[i,:]·qb(:,j); op(B) is B[k,n] when !trans_b,
-/// else B stored [n,k] used transposed. Serial, fp64 dequant.
-Tensor matmul_i8(bool trans_b, std::int64_t m, std::int64_t n, std::int64_t k,
+/// in int64 here) sum over qa[i,:]·qb[j,:], qa [m,k] and qb [n,k]. Serial,
+/// fp64 dequant.
+Tensor matmul_i8(std::int64_t m, std::int64_t n, std::int64_t k,
                  const std::int8_t* a, const std::int8_t* b, float scale_a,
                  const float* scale_b);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -138,6 +139,21 @@ std::string substitute(
     out = replace_all(out, "${" + name + "}", value);
   }
   return out;
+}
+
+std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t hash) {
+  for (const unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+std::string hex16(std::uint64_t value) {
+  char buffer[17];
+  std::snprintf(buffer, sizeof(buffer), "%016llx",
+                static_cast<unsigned long long>(value));
+  return buffer;
 }
 
 long long parse_int(const std::string& s) {

@@ -2,7 +2,9 @@
 // `%q{VARIABLE}` environment expansion used for result-file suffixes.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace caraml::str {
@@ -39,6 +41,16 @@ std::string expand_env(const std::string& s);
 std::string substitute(
     const std::string& s,
     const std::vector<std::pair<std::string, std::string>>& values);
+
+/// FNV-1a 64 of `bytes`, continuing from `hash` (by default the standard
+/// offset basis), so several fields can feed one hash. Fingerprints on disk
+/// (checkpoints, sweep caches, manifests) are built from it.
+inline constexpr std::uint64_t kFnv1a64Offset = 0xcbf29ce484222325ULL;
+std::uint64_t fnv1a64(std::string_view bytes,
+                      std::uint64_t hash = kFnv1a64Offset);
+
+/// `value` as 16 lowercase hex digits.
+std::string hex16(std::uint64_t value);
 
 /// Parse helpers; throw caraml::ParseError on malformed input.
 long long parse_int(const std::string& s);

@@ -140,6 +140,10 @@ TEST(CampaignConfig, RejectsBadValues) {
   EXPECT_THROW(run_campaign(config), Error);
 }
 
+TEST(CampaignConfig, FingerprintIsPinned) {
+  EXPECT_EQ(small_campaign().fingerprint(), "5e229097cecddb38");
+}
+
 TEST(CampaignConfig, FingerprintTracksOutcomeAffectingFields) {
   const CampaignConfig a = small_campaign();
   CampaignConfig b = a;

@@ -1,4 +1,4 @@
-// Tests for the extension modules: LR schedules, dropout, ZeRO-style
+// Tests for the extension modules: LR schedules, ZeRO-style
 // distributed Adam, token files, chrome-trace export, jpwr CSV combining,
 // and the inference benchmark.
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include "core/inference.hpp"
 #include "data/synthetic.hpp"
 #include "data/token_file.hpp"
-#include "nn/dropout.hpp"
 #include "nn/optim.hpp"
 #include "nn/schedule.hpp"
 #include "par/comm.hpp"
@@ -68,58 +67,6 @@ TEST(LrSchedule, InvalidConfigThrows) {
   EXPECT_THROW(nn::WarmupCosineLr(1.0f, 0.1f, 100, 50), Error);
   EXPECT_THROW(nn::StepDecayLr(1.0f, 1.5f, {10}), Error);
   EXPECT_THROW(nn::StepDecayLr(1.0f, 0.5f, {20, 10}), Error);
-}
-
-// --- dropout -------------------------------------------------------------------
-
-TEST(Dropout, EvalModeIsIdentity) {
-  nn::Dropout dropout(0.5f, 1);
-  dropout.eval();
-  Rng rng(2);
-  const nn::Tensor x = nn::Tensor::randn({4, 4}, rng);
-  const nn::Tensor y = dropout.forward(x);
-  for (std::int64_t i = 0; i < x.numel(); ++i) EXPECT_EQ(y[i], x[i]);
-  const nn::Tensor g = nn::Tensor::ones(x.shape());
-  const nn::Tensor dx = dropout.backward(g);
-  for (std::int64_t i = 0; i < x.numel(); ++i) EXPECT_EQ(dx[i], 1.0f);
-}
-
-TEST(Dropout, TrainingZeroesAndRescales) {
-  nn::Dropout dropout(0.5f, 3);
-  const nn::Tensor x = nn::Tensor::ones({1000});
-  const nn::Tensor y = dropout.forward(x);
-  std::int64_t zeros = 0;
-  for (std::int64_t i = 0; i < y.numel(); ++i) {
-    if (y[i] == 0.0f) ++zeros;
-    else EXPECT_FLOAT_EQ(y[i], 2.0f);  // 1 / (1 - 0.5)
-  }
-  EXPECT_GT(zeros, 400);
-  EXPECT_LT(zeros, 600);
-  // Expected value preserved (inverted dropout).
-  EXPECT_NEAR(tensor::mean(y), 1.0f, 0.1f);
-}
-
-TEST(Dropout, BackwardUsesForwardMask) {
-  nn::Dropout dropout(0.3f, 7);
-  const nn::Tensor x = nn::Tensor::ones({64});
-  const nn::Tensor y = dropout.forward(x);
-  const nn::Tensor dx = dropout.backward(nn::Tensor::ones({64}));
-  for (std::int64_t i = 0; i < 64; ++i) {
-    EXPECT_FLOAT_EQ(dx[i], y[i]);  // same mask, same scaling
-  }
-}
-
-TEST(Dropout, DeterministicPerSeed) {
-  nn::Dropout a(0.5f, 42), b(0.5f, 42);
-  const nn::Tensor x = nn::Tensor::ones({128});
-  const nn::Tensor ya = a.forward(x);
-  const nn::Tensor yb = b.forward(x);
-  for (std::int64_t i = 0; i < 128; ++i) EXPECT_EQ(ya[i], yb[i]);
-}
-
-TEST(Dropout, InvalidProbabilityThrows) {
-  EXPECT_THROW(nn::Dropout(1.0f, 1), Error);
-  EXPECT_THROW(nn::Dropout(-0.1f, 1), Error);
 }
 
 // --- distributed Adam --------------------------------------------------------------

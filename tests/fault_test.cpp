@@ -44,6 +44,12 @@ TEST(FaultPlan, DifferentSeedsDiffer) {
   EXPECT_NE(a.fingerprint(), b.fingerprint());
 }
 
+// Manifests, sweep caches and checkpoints on disk carry these fingerprints,
+// so their values are pinned, not only their equality.
+TEST(FaultPlan, FingerprintIsPinned) {
+  EXPECT_EQ(FaultPlan::generate(42, 3.0, 60.0, 4).fingerprint(), "6776a78b0726274e");
+}
+
 TEST(FaultPlan, RateScalesEventCountAndZeroMeansEmpty) {
   EXPECT_TRUE(FaultPlan::generate(7, 0.0, 60.0, 4).empty());
   // A nonzero rate injects at least one fault even over a short horizon.
@@ -322,6 +328,18 @@ TEST(TrainingCheckpoint, SaveAndLoadThroughDisk) {
   const TrainingCheckpoint loaded = TrainingCheckpoint::load(path);
   EXPECT_EQ(loaded.step, 7);
   EXPECT_EQ(loaded.samples_consumed, 1792);
+}
+
+TEST(TrainingCheckpoint, SerializationAndFingerprintArePinned) {
+  TrainingCheckpoint checkpoint;
+  checkpoint.step = 7;
+  checkpoint.samples_consumed = 1792;
+  checkpoint.optimizer_clock_s = 1.5;
+  checkpoint.sampler_state = 0x0123456789abcdefULL;
+  EXPECT_EQ(checkpoint.to_json(),
+            "{\"schema_version\":2,\"step\":7,\"samples_consumed\":1792,"
+            "\"optimizer_clock_s\":1.5,\"sampler_state\":\"0123456789abcdef\","
+            "\"fingerprint\":\"0cab5f1edf2916ef\"}");
 }
 
 TEST(TrainingCheckpoint, MissingFileThrowsCorruptThrowsParseError) {

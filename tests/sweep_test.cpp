@@ -251,6 +251,13 @@ TEST(Sweep, FingerprintSensitiveToEveryIdentityField) {
             workpackage_fingerprint("a", {{"bc", "d"}}, {}, ""));
 }
 
+TEST(Sweep, FingerprintIsPinned) {
+  // Sweep caches on disk are keyed by this value.
+  EXPECT_EQ(workpackage_fingerprint("demo", {{"shard", "0"}},
+                                    {{"work", "compute"}}, "fault-x"),
+            "c244b3acf349b06d");
+}
+
 // --- wall-clock speedup -----------------------------------------------------------
 
 TEST(Sweep, ParallelSweepIsFasterThanSequential) {

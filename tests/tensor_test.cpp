@@ -685,7 +685,8 @@ TEST(FusedLinearOps, MatchUnfusedComposition) {
   expect_close(fused::linear(x, w, &bias), want, 0.0f);
 
   Tensor pre;
-  const Tensor got_gelu = fused::linear_gelu(x, w, &bias, &pre);
+  const Tensor got_gelu =
+      fused::linear(x, w, &bias, {.gelu = true, .pre = &pre});
   expect_close(pre, want, 0.0f);
   expect_close(got_gelu, gelu(want), 0.0f);
 
@@ -693,8 +694,8 @@ TEST(FusedLinearOps, MatchUnfusedComposition) {
   for (std::int64_t i = 0; i < mask.numel(); ++i) {
     mask[i] = i % 3 == 0 ? 0.0f : 1.5f;
   }
-  expect_close(fused::linear_dropout(x, w, &bias, mask), mul(want, mask),
-               0.0f);
+  expect_close(fused::linear(x, w, &bias, {.dropout_mask = &mask}),
+               mul(want, mask), 0.0f);
 }
 
 // --- fused causal attention vs naive oracle ---------------------------------

@@ -98,6 +98,13 @@ TEST(Strings, SubstituteLeavesUnknown) {
   EXPECT_EQ(str::substitute("${x}", {{"y", "1"}}), "${x}");
 }
 
+TEST(Strings, Fnv1a64StandardVectors) {
+  EXPECT_EQ(str::hex16(str::fnv1a64("")), "cbf29ce484222325");
+  EXPECT_EQ(str::hex16(str::fnv1a64("a")), "af63dc4c8601ec8c");
+  // Continuing from a hash equals hashing the concatenation.
+  EXPECT_EQ(str::fnv1a64("b", str::fnv1a64("a")), str::fnv1a64("ab"));
+}
+
 TEST(Strings, ParseInt) {
   EXPECT_EQ(str::parse_int(" 42 "), 42);
   EXPECT_EQ(str::parse_int("-7"), -7);
